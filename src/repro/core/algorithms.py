@@ -245,8 +245,9 @@ class SupersetHybrid(SnoopingAlgorithm):
     prediction; when it returns True the conservative action is used.
     Without a pressure source the policy is the static aggressive
     table (with ``aggressive_choices`` as its declared counted
-    output), so it runs on all three cores; binding a pressure probe
-    makes the decision dynamic and confines it to the object core.
+    output), so the soa core hoists it; binding a pressure probe makes
+    the decision dynamic, and both cores then call ``choose`` per
+    decision.
     """
 
     name = "superset_hybrid"
@@ -317,7 +318,7 @@ class Criticality(SnoopingAlgorithm):
     the policy degenerates to Superset Con; under load it spends extra
     snoop bandwidth exactly where stalls pile up.
     ``critical_choices`` counts critical-row decisions (a declared
-    counted output, exact on all three cores).
+    counted output, exact on both cores).
     """
 
     name = "criticality"
@@ -460,8 +461,6 @@ for _cls in ALGORITHMS.values():
                 if _instance.forwards_on_negative()
                 else _ANY_KIND
             ),
-            "decision_inputs": _instance.decision_inputs(),
-            "dynamic_choose": _table is None,
         },
     )
 del _cls, _instance, _table

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.core.analytical import AnalyticalParams, table1, table3
 from repro.harness.experiments import (
@@ -49,6 +49,36 @@ from repro.harness.experiments import (
 from repro.harness.result_cache import ResultCache
 from repro.registry import REGISTRY, UnknownComponentError
 from repro.sim.soa import SoaUnsupportedError
+
+
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line with exit status 2, the
+    same shape as every other invalid-input error of the CLI."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
+def _int_at_least(text: str, minimum: int, kind: str) -> int:
+    try:
+        value: Optional[int] = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise argparse.ArgumentTypeError(
+            "expected a %s integer, got %r" % (kind, text)
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--scale`` (accesses per core)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--seed`` (0 = the workload's own seed)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _make_cache(args: argparse.Namespace) -> ResultCache:
@@ -112,39 +142,6 @@ def _parse_algorithm_list(text: str) -> List[str]:
         elif name not in expanded:
             expanded.append(name)
     return expanded
-
-
-def _refuse_unsupported_core(core: str, algorithms: List[str]) -> None:
-    """Pre-flight an algorithm list against the requested core.
-
-    The jit core only compiles policies that publish a static decision
-    table; an algorithm whose registry metadata says ``dynamic_choose``
-    would be rejected at construction time anyway, but for matrix
-    commands that rejection happens deep inside a worker pool.  Raising
-    the same :class:`SoaUnsupportedError` here keeps the message (which
-    names the policy's decision inputs) on one line and lets ``main``'s
-    usual fall-back-to-object / ``--strict-core`` machinery apply.
-
-    Unknown core or algorithm names are left alone: they get the
-    registry's uniform error when the run actually resolves them.
-    """
-    try:
-        if REGISTRY.canonical("core", core) != "jit":
-            return
-    except UnknownComponentError:
-        return
-    for name in algorithms:
-        try:
-            meta = REGISTRY.metadata("algorithm", name)
-        except UnknownComponentError:
-            continue
-        if meta.get("dynamic_choose"):
-            raise SoaUnsupportedError(
-                "core=jit does not support: algorithm %r (dynamic "
-                "choose() over decision inputs %s has no static "
-                "decision table to compile); use core=object"
-                % (name, "/".join(meta.get("decision_inputs", ())))
-            )
 
 
 def _add_component_options(
@@ -225,7 +222,7 @@ def _add_core_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--core",
         default="object",
-        help="simulation-core implementation (known: %s; all produce "
+        help="simulation-core implementation (known: %s; both produce "
         "bit-identical summaries)" % ", ".join(REGISTRY.names("core")),
     )
     parser.add_argument(
@@ -252,7 +249,6 @@ def _add_matrix_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _refuse_unsupported_core(args.core, [args.algorithm])
     result = run_experiment(
         args.algorithm,
         args.workload,
@@ -316,7 +312,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        _refuse_unsupported_core(args.core, algorithms)
         curves = run_saturation(
             algorithms=algorithms,
             topologies=[t for t in args.topologies.split(",") if t],
@@ -342,7 +337,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         # regime, where retries and MSHR queueing (the criticality
         # inputs) actually occur.
         algorithms = ("lazy", "eager", "exact", "criticality")
-        _refuse_unsupported_core(args.core, list(algorithms))
         matrix = ExperimentMatrix(
             accesses_per_core=args.scale,
             seed=args.seed,
@@ -486,7 +480,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("flexsnoop: --values is empty", file=sys.stderr)
         return 2
-    _refuse_unsupported_core(args.core, [args.algorithm])
     try:
         sweep = run_sweep(
             args.field,
@@ -914,7 +907,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="flexsnoop",
         description="Flexible Snooping (ISCA 2006) reproduction harness",
     )
@@ -924,9 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_component_options(run_parser, "lazy", "splash2")
     _add_core_option(run_parser)
     _add_topology_option(run_parser, with_num_cmps=True)
-    run_parser.add_argument("--scale", type=int, default=2000,
+    run_parser.add_argument("--scale", type=_positive_int, default=2000,
                             help="accesses per core")
-    run_parser.add_argument("--seed", type=int, default=0)
+    run_parser.add_argument("--seed", type=_non_negative_int, default=0)
     run_parser.set_defaults(func=_cmd_run)
 
     figure_parser = sub.add_parser(
@@ -939,8 +932,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the loaded-regime injection sweep, or 'criticality' for "
         "the criticality-aware-snooping comparison matrix",
     )
-    figure_parser.add_argument("--scale", type=int, default=2000)
-    figure_parser.add_argument("--seed", type=int, default=0)
+    figure_parser.add_argument("--scale", type=_positive_int, default=2000)
+    figure_parser.add_argument("--seed", type=_non_negative_int, default=0)
     _add_matrix_options(figure_parser)
     _add_core_option(figure_parser)
     _add_topology_option(figure_parser)
@@ -1027,9 +1020,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload source spec (known: %s)"
         % ", ".join(REGISTRY.names("workload")),
     )
-    sweep_parser.add_argument("--scale", type=int, default=800,
+    sweep_parser.add_argument("--scale", type=_positive_int, default=800,
                               help="accesses per core")
-    sweep_parser.add_argument("--seed", type=int, default=0)
+    sweep_parser.add_argument("--seed", type=_non_negative_int, default=0)
     _add_matrix_options(sweep_parser)
     _add_core_option(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
@@ -1044,8 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser(
         "report", help="render the whole evaluation as one document"
     )
-    report_parser.add_argument("--scale", type=int, default=1500)
-    report_parser.add_argument("--seed", type=int, default=0)
+    report_parser.add_argument("--scale", type=_positive_int, default=1500)
+    report_parser.add_argument("--seed", type=_non_negative_int, default=0)
     report_parser.add_argument(
         "--figures",
         default="",
@@ -1074,9 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one simulation under cProfile and print hot spots",
     )
     _add_component_options(profile_parser, "exact", "specweb")
-    profile_parser.add_argument("--scale", type=int, default=2000,
+    profile_parser.add_argument("--scale", type=_positive_int, default=2000,
                                 help="accesses per core")
-    profile_parser.add_argument("--seed", type=int, default=0)
+    profile_parser.add_argument("--seed", type=_non_negative_int, default=0)
     profile_parser.add_argument("--top", type=int, default=25,
                                 help="number of pstats rows to print")
     profile_parser.add_argument(
@@ -1095,10 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot) and optionally check it against a baseline",
     )
     bench_parser.add_argument(
-        "--scale", type=int, default=None,
+        "--scale", type=_positive_int, default=None,
         help="accesses per core (default: the committed snapshot scale)",
     )
-    bench_parser.add_argument("--seed", type=int, default=0)
+    bench_parser.add_argument("--seed", type=_non_negative_int, default=0)
     bench_parser.add_argument("--trials", type=int, default=3,
                               help="keep the best of this many runs")
     bench_parser.add_argument("--out", default="",
@@ -1134,9 +1127,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_component_options(record_parser, "lazy", "splash2")
     _add_topology_option(record_parser, with_num_cmps=True)
-    record_parser.add_argument("--scale", type=int, default=500,
+    record_parser.add_argument("--scale", type=_positive_int, default=500,
                                help="accesses per core")
-    record_parser.add_argument("--seed", type=int, default=0)
+    record_parser.add_argument("--seed", type=_non_negative_int, default=0)
     record_parser.add_argument(
         "--warmup", type=float, default=0.0,
         help="warmup fraction (events during warmup are traced too)",
@@ -1207,8 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload name (known: %s)"
         % ", ".join(REGISTRY.names("workload")),
     )
-    workload_parser.add_argument("--scale", type=int, default=2000)
-    workload_parser.add_argument("--seed", type=int, default=0)
+    workload_parser.add_argument("--scale", type=_positive_int, default=2000)
+    workload_parser.add_argument("--seed", type=_non_negative_int, default=0)
     workload_parser.add_argument("--out", required=True)
     workload_parser.set_defaults(func=_cmd_trace_workload)
 
@@ -1258,7 +1251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             return args.func(args)
         except SoaUnsupportedError as exc:
-            # An array core refused the configuration at construction.
+            # The soa core refused the configuration at construction.
             # The object core runs everything, so fall back to it with
             # a one-line notice unless the user asked for the hard
             # error (--strict-core).

@@ -115,7 +115,7 @@ class RingWalker:
         # path-dependent cannot export them; the walk then falls back
         # to calling ``route``/``segment_latency`` per hop with the
         # path tracked on the transaction (only this object core
-        # supports that - the fused cores require the tables).
+        # supports that - the fused soa core requires the tables).
         from repro.ring.topology import TopologyTablesUnavailable
 
         try:

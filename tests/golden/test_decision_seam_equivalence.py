@@ -1,16 +1,20 @@
-"""28-cell equivalence of the legacy algorithms under the decision seam.
+"""14-cell equivalence of the legacy algorithms under the decision seam.
 
 The DecisionPolicy refactor replaced the per-hop ``choose(prediction)``
-callback with hoisted decision tables in both array cores.  This matrix
+callback with hoisted decision tables in the soa core.  This matrix
 pins the refactor's central claim cell by cell: all seven paper
-algorithms, on both array cores, at both warmup settings (7 x 2 x 2 =
-28 cells), produce summaries bit-identical to the object core running
+algorithms, on the soa core, at both warmup settings (7 x 2 = 14
+cells), produce summaries bit-identical to the object core running
 the identical scenario.
 
 The two post-paper policies ride the same seam and get the stronger
 check: their declared counted outputs (``aggressive_choices`` /
 ``critical_choices``) must match the object core's Python-side tallies
-exactly on both array cores.
+exactly on the soa core.
+
+Every policy, legacy and post-paper, is checked once more on a
+two-level ``hier_ring`` machine, where the decision tables meet
+non-uniform segment timing.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.config import default_machine
+from repro.config import TopologyConfig, default_machine
 from repro.core.algorithms import build_algorithm
-from repro.sim.jit import JitRingMultiprocessor
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
@@ -39,7 +42,6 @@ LEGACY_ALGORITHMS = (
 
 ARRAY_CORES = {
     "soa": SoaRingMultiprocessor,
-    "jit": JitRingMultiprocessor,
 }
 
 WARMUPS = (0.0, 0.3)
@@ -53,16 +55,31 @@ PROFILE = SharingProfile(
 )
 
 
-def _machine(algorithm: str):
+#: Two local rings of two CMPs each.
+HIER_RING = TopologyConfig(kind="hier_ring", local_rings=2)
+
+#: Each post-paper policy and the counter its decisions tally.
+COUNTED_POLICIES = {
+    "criticality": "critical_choices",
+    "superset_hybrid": "aggressive_choices",
+}
+
+
+def _machine(algorithm: str, topology: TopologyConfig = TopologyConfig()):
     return default_machine(
-        algorithm=algorithm, cores_per_cmp=2, num_cmps=4
+        algorithm=algorithm, cores_per_cmp=2, num_cmps=4, topology=topology
     )
 
 
-def _run(core_cls, algorithm_name: str, warmup: float):
+def _run(
+    core_cls,
+    algorithm_name: str,
+    warmup: float,
+    topology: TopologyConfig = TopologyConfig(),
+):
     algorithm = build_algorithm(algorithm_name)
     result = core_cls(
-        _machine(algorithm_name),
+        _machine(algorithm_name, topology),
         algorithm,
         SyntheticSource(PROFILE),
         warmup_fraction=warmup,
@@ -119,3 +136,22 @@ def test_hybrid_summary_and_counter_match_object(core):
         == object_algorithm.aggressive_choices
     )
     assert object_algorithm.aggressive_choices > 0
+
+
+@pytest.mark.parametrize("warmup", WARMUPS)
+@pytest.mark.parametrize(
+    "algorithm", LEGACY_ALGORITHMS + tuple(COUNTED_POLICIES)
+)
+def test_hier_ring_cell_bit_identical(algorithm, warmup):
+    object_result, object_algorithm = _run(
+        RingMultiprocessor, algorithm, warmup, HIER_RING
+    )
+    soa_result, soa_algorithm = _run(
+        SoaRingMultiprocessor, algorithm, warmup, HIER_RING
+    )
+    assert soa_result.summary() == object_result.summary()
+    counter = COUNTED_POLICIES.get(algorithm)
+    if counter is not None:
+        assert getattr(soa_algorithm, counter) == getattr(
+            object_algorithm, counter
+        )

@@ -19,10 +19,17 @@ from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 
 import pytest
 
+from repro.config import default_machine
+from repro.core.algorithms import build_algorithm
 from repro.harness.parallel import RunSpec, execute_spec
+from repro.sim import soa
+from repro.sim.system import RingMultiprocessor
+from repro.workloads.source import SyntheticSource
+from repro.workloads.synthetic import SharingProfile
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "summaries.json")
 
@@ -71,3 +78,33 @@ def test_soa_fingerprint_differs_from_object():
     assert soa.fingerprint(cores_per_cmp=1) != obj.fingerprint(
         cores_per_cmp=1
     )
+
+
+def test_soa_memo_restore_matches_full_walk_and_object(monkeypatch):
+    """A second soa machine on the same prewarmed workload restores
+    the prewarm memo into lazily pending arrays instead of walking; its
+    run must be indistinguishable from the first machine's, and both
+    must match the object core."""
+    monkeypatch.setattr(soa, "_SOA_PREWARM_MEMOS", OrderedDict())
+    profile = SharingProfile(
+        name="memo-restore",
+        num_cores=4,
+        cores_per_cmp=1,
+        accesses_per_core=60,
+        prewarm_fraction=0.5,
+        seed=7,
+    )
+    machine = default_machine(algorithm="lazy", cores_per_cmp=1, num_cmps=4)
+
+    def build(core_cls):
+        return core_cls(
+            machine, build_algorithm("lazy"), SyntheticSource(profile)
+        )
+
+    first = build(soa.SoaRingMultiprocessor)
+    second = build(soa.SoaRingMultiprocessor)
+    assert not any(first._pending_sets), "first machine walks in full"
+    assert any(second._pending_sets), "second machine restores the memo"
+    first_summary = first.run().summary()
+    assert second.run().summary() == first_summary
+    assert build(RingMultiprocessor).run().summary() == first_summary

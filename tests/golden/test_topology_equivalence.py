@@ -3,14 +3,16 @@
 The topology refactor's bit-identity claim, checked against the same
 ``summaries.json`` capture the other golden suites use: selecting
 ``topology=ring`` *explicitly* (instead of leaving the config default)
-must reproduce every golden cell byte-for-byte on all three simulation
+must reproduce every golden cell byte-for-byte on both simulation
 cores, and must produce the same result-cache key as the default
 spelling (so warm caches survive the refactor).
 
 Plus the hierarchical acceptance surface: all seven algorithms run on
 the 16-CMP two-level ``hier_ring`` machine with tracing on and the
-per-segment trace auditor reports zero violations, and a 16-CMP trace
-file replays through the default machine (the torus auto-derive fix).
+per-segment trace auditor reports zero violations, the soa core
+matches the object core on ``hier_ring`` at 8 and 16 CMPs, and a
+16-CMP trace file replays through the default machine (the torus
+auto-derive fix).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _spec(cell, core="object", topology=None) -> RunSpec:
     )
 
 
-@pytest.mark.parametrize("core", ["object", "soa", "jit"])
+@pytest.mark.parametrize("core", ["object", "soa"])
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_explicit_ring_topology_matches_golden(cell, core):
     result = execute_spec(_spec(cell, core=core, topology="ring"))
@@ -108,6 +110,33 @@ def test_hier_ring_16cmp_traced_run_audits_clean(algorithm):
     )
     violations = auditor.audit(traced.events)
     assert violations == []
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
+def test_hier_ring_soa_matches_object(cell):
+    """The soa core hoists hier_ring's exported successor and segment
+    tables into its flat arrays; every golden scenario on the default
+    8-CMP hierarchy (four local rings of two) must stay bit-identical
+    to the object core's per-hop walk."""
+    object_result = execute_spec(_spec(cell, topology="hier_ring"))
+    soa_result = execute_spec(
+        _spec(cell, core="soa", topology="hier_ring")
+    )
+    assert soa_result.summary() == object_result.summary()
+
+
+@pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+def test_hier_ring_16cmp_soa_matches_object(algorithm):
+    """The 16-CMP machine the saturation studies use: four local
+    rings of four CMPs, each joined to the global ring by one bridge."""
+    summaries = [
+        execute_spec(
+            RunSpec(algorithm, "specjbb", accesses_per_core=80,
+                    core=core, topology="hier_ring", num_cmps=16)
+        ).summary()
+        for core in ("object", "soa")
+    ]
+    assert summaries[0] == summaries[1]
 
 
 def test_hier_ring_differs_from_ring():

@@ -1,7 +1,7 @@
 """Property-based tests for the snoop-topology layer.
 
 Three structural invariants every topology must satisfy, whatever its
-shape, because the walker, the fused cores and the trace auditor all
+shape, because the walker, the fused soa core and the trace auditor all
 rely on them:
 
 * the snoop walk from any requester visits every *other* node exactly

@@ -1,12 +1,12 @@
 """CLI fallback when a requested core rejects the configuration.
 
-Array cores (``soa``/``jit``) raise ``SoaUnsupportedError`` at
-construction for configurations outside their envelope.  The CLI must
-not die with a traceback: it falls back to ``core=object`` with a
-one-line stderr notice, unless ``--strict-core`` asks for the hard
-error (clean message, exit 2).  The envelope flags are not yet
-CLI-exposed, so these tests inject the refusal at the
-``run_experiment`` seam - the CLI behavior under test is identical.
+The soa core raises ``SoaUnsupportedError`` at construction for
+configurations outside its envelope.  The CLI must not die with a
+traceback: it falls back to ``core=object`` with a one-line stderr
+notice, unless ``--strict-core`` asks for the hard error (clean
+message, exit 2).  The envelope flags are not yet CLI-exposed, so
+these tests inject the refusal at the ``run_experiment`` seam - the
+CLI behavior under test is identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.sim.soa import SoaUnsupportedError
 
 @pytest.fixture
 def refusing_run_experiment(monkeypatch):
-    """``run_experiment`` that refuses array cores the way an
+    """``run_experiment`` that refuses the soa core the way an
     out-of-envelope construction does, recording each call's core."""
     calls = []
     real = cli.run_experiment
@@ -42,10 +42,10 @@ def refusing_run_experiment(monkeypatch):
 def test_run_falls_back_to_object_with_warning(
     refusing_run_experiment, capsys
 ):
-    exit_code = cli.main(["run", "--core", "jit", "--scale", "30"])
+    exit_code = cli.main(["run", "--core", "soa", "--scale", "30"])
     captured = capsys.readouterr()
     assert exit_code == 0
-    assert refusing_run_experiment == ["jit", "object"]
+    assert refusing_run_experiment == ["soa", "object"]
     assert "falling back to core=object" in captured.err
     assert captured.err.count("\n") == 1
     assert "exec time" in captured.out
@@ -53,13 +53,50 @@ def test_run_falls_back_to_object_with_warning(
 
 def test_strict_core_keeps_the_hard_error(refusing_run_experiment, capsys):
     exit_code = cli.main(
-        ["run", "--core", "jit", "--strict-core", "--scale", "30"]
+        ["run", "--core", "soa", "--strict-core", "--scale", "30"]
     )
     captured = capsys.readouterr()
     assert exit_code == 2
-    assert refusing_run_experiment == ["jit"]
+    assert refusing_run_experiment == ["soa"]
     assert "does not support" in captured.err
     assert "falling back" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--core", "jit", "--scale", "30"],
+        ["figure", "8", "--core", "jit", "--scale", "30", "--jobs", "1",
+         "--no-cache"],
+    ],
+    ids=["run", "figure"],
+)
+def test_removed_core_name_is_an_unknown_core(argv, capsys):
+    """The retired compiled core left no alias behind: naming it gets
+    the registry's one-line unknown-component error, not a fallback."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "flexsnoop: unknown core 'jit'; known: object, soa\n"
+    )
+
+
+@pytest.mark.parametrize("alias", ["compiled", "kernel"])
+@pytest.mark.parametrize("command", ["run", "figure"])
+def test_removed_core_aliases_are_unknown_cores(alias, command, capsys):
+    """The retired core's aliases went with it: each is an unknown
+    core on every command that takes ``--core``."""
+    argv = (
+        ["run", "--core", alias, "--scale", "30"]
+        if command == "run"
+        else ["figure", "8", "--core", alias, "--scale", "30",
+              "--jobs", "1", "--no-cache"]
+    )
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "flexsnoop: unknown core '%s'; known: object, soa\n" % alias
+    )
 
 
 def test_object_core_error_is_never_swallowed_by_fallback(

@@ -357,8 +357,7 @@ def test_cli_run_replays_trace_file(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     code = main(
-        ["run", "--algorithm", "lazy",
-         "--workload", "file:%s" % trace_path, "--scale", "0"]
+        ["run", "--algorithm", "lazy", "--workload", "file:%s" % trace_path]
     )
     assert code == 0
     assert "exec time" in capsys.readouterr().out
@@ -404,3 +403,43 @@ def test_parse_size(text, expected):
     from repro.harness.cli import _parse_size
 
     assert _parse_size(text) == expected
+
+
+#: Every subcommand that takes ``--scale``/``--seed``, with the other
+#: arguments it needs to get past parsing.
+SCALE_SEED_COMMANDS = [
+    ["run"],
+    ["figure", "8"],
+    ["sweep", "ring.hop_latency", "--values", "1"],
+    ["report"],
+    ["profile"],
+    ["bench"],
+    ["trace", "record", "--out", "/dev/null"],
+    ["trace", "workload", "--out", "/dev/null"],
+]
+
+
+@pytest.mark.parametrize(
+    "command", SCALE_SEED_COMMANDS, ids=lambda argv: "-".join(argv[:2])
+)
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [
+        ("--scale", "0", "positive integer"),
+        ("--scale", "-3", "positive integer"),
+        ("--scale", "many", "positive integer"),
+        ("--seed", "-1", "non-negative integer"),
+    ],
+    ids=["scale-zero", "scale-negative", "scale-text", "seed-negative"],
+)
+def test_cli_rejects_bad_scale_and_seed_in_one_line(
+    command, flag, value, expected, capsys
+):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + [flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "argument %s" % flag in err
+    assert expected in err and repr(value) in err
+    assert "Traceback" not in err

@@ -255,12 +255,12 @@ def test_render_samples_includes_occupancy_columns():
 
 
 # ----------------------------------------------------------------------
-# Array-core envelope of the contention knobs (genuine end-to-end:
-# the soa/jit cores refuse the configuration at construction and the
-# CLI falls back to the object core)
+# Soa-core envelope of the contention knobs (genuine end-to-end: the
+# soa core refuses the configuration at construction and the CLI falls
+# back to the object core)
 
 
-@pytest.mark.parametrize("core", ["soa", "jit"])
+@pytest.mark.parametrize("core", ["soa"])
 def test_sweep_cli_falls_back_when_array_core_refuses(core, capsys):
     from repro.harness.cli import main
 

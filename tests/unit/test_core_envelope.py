@@ -1,12 +1,12 @@
 """The unsupported-configuration envelope, flag by flag.
 
-Both array cores (``soa`` and ``jit``) declare an explicit envelope:
-every excluded feature must raise a clean, named
-``SoaUnsupportedError`` at construction - never a mid-run crash or a
-silently wrong result - while the object core runs the identical
-configuration to completion.  One parametrized matrix pins each flag
-to that contract, so adding an envelope hole or a new flag without
-updating ``check_soa_supported``/``check_jit_supported`` fails loudly.
+The fused ``soa`` core declares an explicit envelope: every excluded
+feature must raise a clean, named ``SoaUnsupportedError`` at
+construction - never a mid-run crash or a silently wrong result -
+while the object core runs the identical configuration to completion.
+One parametrized matrix pins each flag to that contract, so adding an
+envelope hole or a new flag without updating ``check_soa_supported``
+fails loudly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
 from repro.obs.trace import InMemorySink
 from repro.registry import REGISTRY
-from repro.sim.jit import JitUnsupportedError, check_jit_supported
-from repro.sim.soa import SoaUnsupportedError
+from repro.sim.soa import SoaUnsupportedError, check_soa_supported
 from repro.workloads.source import SyntheticSource
 from repro.workloads.synthetic import SharingProfile
 
@@ -79,7 +78,7 @@ def _flag_id(entry) -> str:
     return entry[0]
 
 
-@pytest.mark.parametrize("core", ["soa", "jit"])
+@pytest.mark.parametrize("core", ["soa"])
 @pytest.mark.parametrize("entry", ENVELOPE_FLAGS, ids=_flag_id)
 def test_array_cores_raise_cleanly_outside_envelope(core, entry):
     flag, machine_kwargs, extra = entry
@@ -98,6 +97,36 @@ def test_array_cores_raise_cleanly_outside_envelope(core, entry):
     assert "use core=object" in message
 
 
+#: The reason ``check_soa_supported`` gives for each flag.
+ENVELOPE_REASONS = {
+    "link_occupancy": "ring.link_occupancy",
+    "serialize_snoop_port": "ring.serialize_snoop_port",
+    "filter_write_snoops": "filter_write_snoops",
+    "check_invariants": "check_invariants",
+    "track_versions": "track_versions",
+    "tracing": "transaction tracing",
+    "sample_window": "tracing.sample_window",
+}
+
+
+@pytest.mark.parametrize("entry", ENVELOPE_FLAGS, ids=_flag_id)
+def test_envelope_check_names_only_the_offending_flag(entry):
+    """``check_soa_supported`` is the single capability envelope: with
+    one flag set it refuses with exactly that flag's reason, so the
+    fallback message tells the user what to turn off."""
+    flag, machine_kwargs, extra = entry
+    check_soa_supported(_machine())
+    with pytest.raises(SoaUnsupportedError) as excinfo:
+        check_soa_supported(
+            _machine(**machine_kwargs), extra.get("trace_sink")
+        )
+    message = str(excinfo.value)
+    listed = message.split("does not support: ", 1)[1]
+    reasons = listed.rsplit("; use core=object", 1)[0].split("; ")
+    assert len(reasons) == 1
+    assert reasons[0].startswith(ENVELOPE_REASONS[flag])
+
+
 @pytest.mark.parametrize("entry", ENVELOPE_FLAGS, ids=_flag_id)
 def test_object_core_runs_every_envelope_flag(entry):
     flag, machine_kwargs, extra = entry
@@ -111,21 +140,3 @@ def test_object_core_runs_every_envelope_flag(entry):
         **extra,
     ).run()
     assert result.stats.reads + result.stats.writes > 0
-
-
-def test_jit_error_is_a_soa_error_subclass():
-    """CLI fallback handling catches ``SoaUnsupportedError`` once and
-    covers both array cores."""
-    assert issubclass(JitUnsupportedError, SoaUnsupportedError)
-
-
-def test_jit_rejects_dynamic_choose_algorithms():
-    """Algorithms whose ``choose`` consults a live pressure source
-    cannot be table-compiled; the jit envelope names them."""
-
-    machine = _machine()
-    algorithm = build_algorithm("superset_hybrid")
-    algorithm._energy_pressure = lambda: 0.0
-    with pytest.raises(SoaUnsupportedError) as excinfo:
-        check_jit_supported(machine, algorithm)
-    assert "dynamic choose()" in str(excinfo.value)

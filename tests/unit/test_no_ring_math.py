@@ -3,13 +3,13 @@
 The topology refactor's contract is that ``(i + 1) % N`` - the
 hardwired single-ring successor step - is written down exactly once,
 in :func:`repro.ring.topology.ring_successors`, and every other layer
-(walker, fused cores, auditor, harness) consumes successor/latency
+(walker, fused soa core, auditor, harness) consumes successor/latency
 tables or the :class:`~repro.ring.topology.SnoopTopology` interface.
 This test greps the source tree so a future edit cannot quietly leak
 the arithmetic back into a consumer.
 
 Home-node interleaving (``address % num_cmps`` in the memory model
-and the fused cores) is *memory-map* math, not ring math - the home
+and the fused soa core) is *memory-map* math, not ring math - the home
 of a line does not depend on the snoop topology - so address-based
 modulo is explicitly allowed.
 """
