@@ -61,6 +61,7 @@ from repro.workloads import (
     resolve_source,
 )
 
+#: The package version; ``pyproject.toml`` reads it from here.
 __version__ = "1.3.0"
 
 __all__ = [

@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
+class ConfigError(ValueError):
+    """An invalid machine configuration.  The CLI reports it as one
+    line with exit status 2."""
+
+
 @dataclass(frozen=True)
 class RingConfig:
     """Timing parameters of the embedded unidirectional snoop ring.
@@ -54,6 +59,21 @@ class RingConfig:
     #: and so contention studies - where per-hop event interleaving
     #: matters and batching auto-disables anyway - can pin it off.
     hop_batching: bool = True
+
+    def __post_init__(self) -> None:
+        timings = (
+            self.hop_latency,
+            self.snoop_time,
+            self.gateway_latency,
+            self.link_occupancy,
+        )
+        if min(timings) < 0:
+            raise ConfigError(
+                "ring timings (hop_latency, snoop_time, gateway_latency, "
+                "link_occupancy) must be >= 0, got %s" % (timings,)
+            )
+        if self.num_rings < 1:
+            raise ConfigError("ring.num_rings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,11 +127,11 @@ class TopologyConfig:
 
     def __post_init__(self) -> None:
         if not self.kind:
-            raise ValueError("topology kind must be a non-empty name")
+            raise ConfigError("topology kind must be a non-empty name")
         if self.local_rings < 1:
-            raise ValueError("local_rings must be >= 1")
+            raise ConfigError("local_rings must be >= 1")
         if self.local_hop_latency < 0 or self.global_hop_latency < 0:
-            raise ValueError("topology hop latencies must be >= 0")
+            raise ConfigError("topology hop latencies must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,7 +175,7 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         if self.num_lines % self.associativity != 0:
-            raise ValueError(
+            raise ConfigError(
                 "num_lines (%d) must be a multiple of associativity (%d)"
                 % (self.num_lines, self.associativity)
             )
@@ -193,7 +213,7 @@ class PredictorConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in self.VALID_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 "unknown predictor kind %r; expected one of %s"
                 % (self.kind, ", ".join(self.VALID_KINDS))
             )
@@ -292,7 +312,7 @@ class TraceConfig:
 
     def __post_init__(self) -> None:
         if self.sample_window < 0:
-            raise ValueError("sample_window must be >= 0")
+            raise ConfigError("sample_window must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -340,9 +360,9 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         if self.num_cmps < 2:
-            raise ValueError("need at least 2 CMPs for a ring")
+            raise ConfigError("need at least 2 CMPs for a ring")
         if self.cores_per_cmp < 1:
-            raise ValueError("need at least 1 core per CMP")
+            raise ConfigError("need at least 1 core per CMP")
         rows, cols = self.data_network.torus_shape
         if rows * cols < self.num_cmps:
             if self.data_network.torus_shape == _DEFAULT_TORUS_SHAPE:
@@ -360,7 +380,7 @@ class MachineConfig:
                     ),
                 )
             else:
-                raise ValueError(
+                raise ConfigError(
                     "torus shape %s too small for %d CMPs"
                     % (self.data_network.torus_shape, self.num_cmps)
                 )

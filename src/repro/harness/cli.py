@@ -38,6 +38,7 @@ import argparse
 import sys
 from typing import List, NoReturn, Optional
 
+from repro.config import ConfigError
 from repro.core.analytical import AnalyticalParams, table1, table3
 from repro.harness.experiments import (
     MAIN_ALGORITHMS,
@@ -79,6 +80,21 @@ def _positive_int(text: str) -> int:
 def _non_negative_int(text: str) -> int:
     """argparse type of ``--seed`` (0 = the workload's own seed)."""
     return _int_at_least(text, 0, "non-negative")
+
+
+def _num_cmps(text: str) -> int:
+    """argparse type of ``--num-cmps``: 0 (the workload's own
+    geometry) or a ring of at least 2 CMPs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 1
+    if value != 0 and value < 2:
+        raise argparse.ArgumentTypeError(
+            "expected 0 (the workload's geometry) or at least 2 CMPs, "
+            "got %r" % text
+        )
+    return value
 
 
 def _make_cache(args: argparse.Namespace) -> ResultCache:
@@ -190,7 +206,7 @@ def _add_topology_option(
     if with_num_cmps:
         parser.add_argument(
             "--num-cmps",
-            type=int,
+            type=_num_cmps,
             default=0,
             help="reshape the synthetic workload across this many "
             "CMPs (0 = the workload's own geometry; defaults to 16 "
@@ -283,6 +299,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 if args.think_scales
                 else DEFAULT_THINK_SCALES
             )
+            if min(scales) <= 0:
+                raise ValueError(args.think_scales)
         except ValueError:
             print(
                 "flexsnoop: --think-scales must be a comma-separated "
@@ -297,6 +315,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 if args.target_rates
                 else None
             )
+            if targets is not None and min(targets) <= 0:
+                raise ValueError(args.target_rates)
         except ValueError:
             print(
                 "flexsnoop: --target-rates must be a comma-separated "
@@ -771,12 +791,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print("location : %s" % info["root"])
         print("entries  : %d" % info["entries"])
         print("size     : %.1f KiB" % (info["size_bytes"] / 1024.0))
-        print("stale    : %d entry(ies) from older schemas" %
+        print("stale    : %d entry(ies) from other model sources" %
               info["stale_entries"])
         print("tmp files: %d orphaned temp file(s)" % info["tmp_files"])
-        print("schema   : v%d (code %s)" % (
-            info["schema"], info["code_version"],
-        ))
+        print("model    : %s" % info["model_digest"])
         return 0
     if args.action == "clear":
         removed = cache.clear()
@@ -1267,10 +1285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             args.core = "object"
             return args.func(args)
-    except SoaUnsupportedError as exc:
-        print("flexsnoop: %s" % exc, file=sys.stderr)
-        return 2
-    except UnknownComponentError as exc:
+    except (ConfigError, SoaUnsupportedError, UnknownComponentError) as exc:
         print("flexsnoop: %s" % exc, file=sys.stderr)
         return 2
 

@@ -65,16 +65,13 @@ class RunSpec:
     config: Optional[MachineConfig] = None
     #: Simulation-core implementation (registry kind ``core``):
     #: ``"object"`` (default) or ``"soa"``.  Both produce bit-identical
-    #: summaries; the soa core additionally pins diagnostic event
-    #: counts that differ from the object engine, so it gets its own
-    #: result-cache entries.
+    #: summaries; the soa core's diagnostic event counts differ from
+    #: the object engine's, so it gets its own result-cache entries.
     core: str = "object"
     #: Snoop-topology override (registry kind ``topology``): ``None``
     #: leaves the machine config untouched (the default ``ring``);
     #: naming one replaces ``config.topology.kind``.  The topology
-    #: travels inside the machine fingerprint, and the default
-    #: ``TopologyConfig`` is elided there, so pre-existing cache keys
-    #: stay byte-stable (the ``core`` precedent above).
+    #: travels inside the machine fingerprint.
     topology: Optional[str] = None
     #: Machine-span override: 0 = the workload source's own geometry;
     #: a nonzero value reshapes a synthetic workload across that many
@@ -83,8 +80,7 @@ class RunSpec:
     #: Injection-pacing override: every synthetic think time is
     #: multiplied by this factor (the loaded-regime axis; see
     #: :attr:`repro.workloads.synthetic.SharingProfile.think_scale`).
-    #: 1.0 leaves the workload - and every pre-existing cache key -
-    #: untouched.
+    #: 1.0 leaves the workload's native pacing untouched.
     think_scale: float = 1.0
 
     def resolve_config(
@@ -145,23 +141,17 @@ class RunSpec:
             "machine": config_fingerprint(
                 self.resolve_config(cores_per_cmp, num_cmps)
             ),
+            "core": REGISTRY.canonical("core", self.core),
         }
-        if self.core != "object":
-            # Default-core keys stay byte-stable across this field's
-            # introduction, so existing caches remain warm.
-            payload["core"] = REGISTRY.canonical("core", self.core)
         if source_descriptor is not None:
             payload["source"] = source_descriptor
         else:
+            # Descriptor-bearing sources already carry the pacing in
+            # their profile dict; the field fallback spells it out.
             payload["workload"] = self.workload
             payload["accesses_per_core"] = self.accesses_per_core
             payload["seed"] = self.seed
-            if self.think_scale != 1.0:
-                # Descriptor-bearing sources already carry the pacing
-                # in their profile dict; the field fallback needs it
-                # spelled out (elided at the default for key
-                # stability).
-                payload["think_scale"] = self.think_scale
+            payload["think_scale"] = self.think_scale
         return payload
 
     def cache_key(self) -> str:

@@ -6,13 +6,14 @@ economics: a completed :class:`~repro.sim.system.SimulationResult` is
 written to disk keyed by a stable fingerprint of everything that
 determines it - the full :class:`~repro.config.MachineConfig`, the
 algorithm, the workload, the predictor override, the trace scale and
-seed, the warmup fraction, and the code version.  Re-running
+seed, the warmup fraction, and the model source itself
+(:func:`model_digest`).  Re-running
 ``flexsnoop figure 8`` after a figure-6 run then costs zero
 simulations.
 
 Layout::
 
-    <root>/v<schema>/<key[:2]>/<key>.pkl
+    <root>/<model digest[:16]>/<key[:2]>/<key>.pkl
 
 where ``key`` is a SHA-256 over the canonical JSON fingerprint.  Each
 entry is an independent pickle file, so concurrent writers (parallel
@@ -22,9 +23,9 @@ never observe a torn entry.
 
 The cache root defaults to ``$FLEXSNOOP_CACHE_DIR`` when set, else
 ``~/.cache/flexsnoop``.  Corrupt or unreadable entries are treated as
-misses and deleted.  Bumping :data:`CACHE_SCHEMA_VERSION` (or the
-package version) invalidates every old entry, since both are folded
-into the key.
+misses and deleted.  Any edit to the package source changes the
+model digest, so results computed by other code are never served;
+``cache info`` counts them as stale and ``cache clear`` removes them.
 """
 
 from __future__ import annotations
@@ -35,22 +36,15 @@ import json
 import os
 import pickle
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
-from repro import __version__
-from repro.config import MachineConfig, TopologyConfig
+from repro.config import MachineConfig
 from repro.sim.system import SimulationResult
 
-#: Bump when the semantics of cached results change (new counters,
-#: changed simulator behaviour that is not reflected in the package
-#: version, ...).  Folded into every cache key.
-#: v2: MachineConfig grew the ``tracing`` field, which changes every
-#: config fingerprint.
-#: v3: RunSpec fingerprints are keyed on the workload source
-#: descriptor (content hash for file replays, parameter snapshot for
-#: synthetic profiles) instead of the literal spec fields.
-CACHE_SCHEMA_VERSION = 3
+#: The package whose source keys the cache (``src/repro``).
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "FLEXSNOOP_CACHE_DIR"
@@ -64,39 +58,51 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "flexsnoop"
 
 
-#: Snapshot of the stock topology; computed once at import.
-_DEFAULT_TOPOLOGY = dataclasses.asdict(TopologyConfig())
-
-
 def config_fingerprint(config: MachineConfig) -> Dict[str, Any]:
     """A JSON-serializable snapshot of a machine configuration.
 
     ``dataclasses.asdict`` recurses through the nested frozen config
     dataclasses; tuples become lists, which is fine because the JSON
     canonicalization below is only ever compared against itself.
-
-    The ``topology`` section is elided when it equals the default
-    (single embedded ring), so fingerprints stay byte-stable across
-    that field's introduction and existing caches remain warm -
-    mirroring the ``core`` field precedent in
-    :meth:`repro.harness.parallel.RunSpec.fingerprint`.
     """
-    payload = dataclasses.asdict(config)
-    if payload.get("topology") == _DEFAULT_TOPOLOGY:
-        del payload["topology"]
-    return payload
+    return dataclasses.asdict(config)
+
+
+@lru_cache(maxsize=None)
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``.py`` file under ``root``: each file's
+    relative path and bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    for relative, path in files:
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (relative.encode("utf-8"), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def model_digest() -> str:
+    """Digest of the package source (computed once per process).
+
+    One rule covers every module that can change a result - no list
+    of "model" modules to keep in sync, no version to remember to
+    bump.
+    """
+    return source_digest(PACKAGE_ROOT)
 
 
 def fingerprint_key(payload: Dict[str, Any]) -> str:
     """Stable SHA-256 hex digest of a fingerprint payload.
 
-    The payload is extended with the code version and cache schema so
-    results computed by different code never collide.
+    The payload is extended with the model digest so results computed
+    by different code never collide.
     """
-    versioned = dict(payload)
-    versioned["__code_version__"] = __version__
-    versioned["__cache_schema__"] = CACHE_SCHEMA_VERSION
-    canonical = json.dumps(versioned, sort_keys=True, separators=(",", ":"))
+    keyed = dict(payload)
+    keyed["__model__"] = model_digest()
+    canonical = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -124,7 +130,7 @@ class ResultCache:
 
     @property
     def _bucket_root(self) -> Path:
-        return self.root / ("v%d" % CACHE_SCHEMA_VERSION)
+        return self.root / model_digest()[:16]
 
     def _path_for(self, key: str) -> Path:
         return self._bucket_root / key[:2] / (key + ".pkl")
@@ -195,11 +201,11 @@ class ResultCache:
     # Maintenance
 
     def _entry_paths(self) -> Iterator[Path]:
-        """Entries of the *current* schema only.
+        """Entries of the *current* model digest only.
 
         Accounting (``entry_count``/``size_bytes``/``info``) must not
-        count entries written under older schema versions as live -
-        they can never be returned by :meth:`get`.
+        count entries written by other code as live - they can never
+        be returned by :meth:`get`.
         """
         bucket = self._bucket_root
         if not bucket.is_dir():
@@ -208,7 +214,7 @@ class ResultCache:
             yield path
 
     def _all_entry_paths(self) -> Iterator[Path]:
-        """Entries across every schema version (maintenance)."""
+        """Entries across every model digest (maintenance)."""
         if not self.root.is_dir():
             return
         for path in sorted(self.root.rglob("*.pkl")):
@@ -234,7 +240,7 @@ class ResultCache:
         return total
 
     def stale_entry_count(self) -> int:
-        """Entries under older schema versions (never served)."""
+        """Entries under other model digests (never served)."""
         return sum(1 for _ in self._all_entry_paths()) - self.entry_count()
 
     def prune_tmp(self, max_age_seconds: float = 3600.0) -> int:
@@ -278,13 +284,13 @@ class ResultCache:
                 pass
 
     def prune(self, max_size_bytes: int) -> Dict[str, int]:
-        """Shrink the current-schema cache under a size budget.
+        """Shrink the current-digest cache under a size budget.
 
         Evicts least-recently-used entries first, where "used" is the
         file mtime - :meth:`get` refreshes it on every hit, so entries
         a recent run served survive entries nobody has touched.  Only
-        current-schema entries count toward (and are evicted against)
-        the budget; stale-schema entries are dead weight handled by
+        current-digest entries count toward (and are evicted against)
+        the budget; stale entries are dead weight handled by
         :meth:`clear`.  Returns ``{"removed", "freed_bytes",
         "size_bytes"}`` with the post-prune size.
         """
@@ -321,7 +327,7 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every cached entry - current *and* stale schemas -
+        """Delete every cached entry - current *and* stale digests -
         plus orphaned temp files and the directories they emptied.
         Returns the number of entries removed (temps not counted).
         """
@@ -345,8 +351,7 @@ class ResultCache:
             "size_bytes": self.size_bytes(),
             "stale_entries": self.stale_entry_count(),
             "tmp_files": sum(1 for _ in self._tmp_paths()),
-            "schema": CACHE_SCHEMA_VERSION,
-            "code_version": __version__,
+            "model_digest": model_digest(),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,

@@ -34,7 +34,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.config import DataNetworkConfig, RingConfig, TopologyConfig
+from repro.config import (
+    ConfigError,
+    DataNetworkConfig,
+    RingConfig,
+    TopologyConfig,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import MachineConfig
@@ -346,15 +351,15 @@ class HierRingTopology(SnoopTopology):
         super().__init__(num_nodes, num_rings=ring.num_rings)
         local_rings = topology.local_rings
         if local_rings < 2:
-            raise ValueError("hier_ring needs at least 2 local rings")
+            raise ConfigError("hier_ring needs at least 2 local rings")
         if num_nodes % local_rings != 0:
-            raise ValueError(
+            raise ConfigError(
                 "hier_ring needs num_cmps (%d) divisible by "
                 "local_rings (%d)" % (num_nodes, local_rings)
             )
         ring_size = num_nodes // local_rings
         if ring_size < 2:
-            raise ValueError(
+            raise ConfigError(
                 "hier_ring needs at least 2 CMPs per local ring "
                 "(%d CMPs / %d rings)" % (num_nodes, local_rings)
             )

@@ -20,7 +20,9 @@ predictor's downgrade bookkeeping.
   :class:`~repro.sim.transactions.TransactionManager` and the facade):
   ``fill`` installs a line in a requester cache, handling the evicted
   victim; ``make_downgrade_handler`` builds the per-CMP callback the
-  Exact predictor invokes on replacement-driven downgrades.
+  Exact predictor invokes on replacement-driven downgrades, and
+  ``charge_downgrade`` accounts one (the facade also calls it for the
+  downgrades of the prewarm image).
 * **Outbound**: completion flows back to the
   :class:`~repro.sim.transactions.TransactionManager`
   (``complete_access``, ``retire``, ``check_version``,
@@ -379,23 +381,31 @@ class DataPathModel:
                 self.stats.downgrade_writebacks += 1
                 self.energy.charge_downgrade_writeback()
             cache.set_state(address, new_state)
-            self.stats.downgrades += 1
-            self.energy.charge_downgrade()
-            self._downgraded.add(address)
-            trace = self._trace
-            if trace is not None:
-                trace.emit(
-                    TraceEvent(
-                        self.engine.now,
-                        EventType.DOWNGRADE,
-                        NO_TXN,
-                        cmp_id,
-                        address,
-                        {"writeback": needs_writeback},
-                    )
-                )
+            self.charge_downgrade(cmp_id, address, needs_writeback)
 
         return downgrade
+
+    def charge_downgrade(
+        self, cmp_id: int, address: int, writeback: bool
+    ) -> None:
+        """Account one Exact conflict downgrade (the line's state
+        change is the caller's); also replays the downgrades of the
+        prewarm walk at construction."""
+        self.stats.downgrades += 1
+        self.energy.charge_downgrade()
+        self._downgraded.add(address)
+        trace = self._trace
+        if trace is not None:
+            trace.emit(
+                TraceEvent(
+                    self.engine.now,
+                    EventType.DOWNGRADE,
+                    NO_TXN,
+                    cmp_id,
+                    address,
+                    {"writeback": writeback},
+                )
+            )
 
     # ------------------------------------------------------------------
     # Bookkeeping helpers

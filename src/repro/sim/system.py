@@ -19,8 +19,13 @@ facade (see ``docs/architecture.md`` for the full picture):
 * :class:`~repro.sim.datapath.DataPathModel` - torus data replies,
   home-memory timing (with the prefetch heuristic), fills/evictions,
   and Exact-predictor downgrades.
-* :class:`~repro.sim.warmup.WarmupController` - prewarm memoization
-  and the warmup-window measurement reset.
+* :class:`~repro.sim.warmup.WarmupController` - the warmup-window
+  measurement reset.
+
+The prewarm that precedes measurement is decided once per workload
+by :mod:`repro.sim.prewarm` (shared with the soa core); the facade
+only installs the resulting image
+(:meth:`RingMultiprocessor._install_prewarm`).
 
 The facade owns what the subsystems share: the event engine, the
 topologies and memory, the machine-wide supplier/holder indexes (fed
@@ -61,9 +66,11 @@ Same-CMP requests to a busy line wait in an MSHR instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import MachineConfig
+from repro.coherence.cache import CacheLine
 from repro.coherence.protocol import CoherenceError, ProtocolTables
 from repro.coherence.states import LineState
 from repro.core.algorithms import SnoopingAlgorithm
@@ -78,14 +85,11 @@ from repro.ring.topology import build_topology
 from repro.sim.datapath import DataPathModel
 from repro.sim.engine import EventEngine
 from repro.sim.memory import MainMemory
+from repro.sim.prewarm import prewarm_image, train_predictors
 from repro.sim.processor import Core, build_cores, build_cores_from_source
 from repro.sim.transactions import Transaction, TransactionManager
 from repro.sim.walker import RingWalker
-from repro.sim.warmup import (
-    _PREWARM_MEMOS,
-    _PrewarmMemo,
-    WarmupController,
-)
+from repro.sim.warmup import WarmupController
 from repro.workloads.source import WorkloadSource, as_source
 from repro.workloads.synthetic import SharingProfile
 from repro.workloads.trace import WorkloadTrace
@@ -95,9 +99,6 @@ __all__ = [
     "SimulationResult",
     "Transaction",
 ]
-
-# Re-exported for callers (and tests) that predate the decomposition.
-_ = (_PREWARM_MEMOS, _PrewarmMemo, Transaction)
 
 
 @dataclass
@@ -262,12 +263,9 @@ class RingMultiprocessor:
             self.engine,
             config,
             source,
-            self.cores,
             self.nodes,
             self.presence,
             self.memory,
-            self._supplier_of,
-            self._holder_count,
             warmup_fraction,
         )
         self.warmup.wire(self)
@@ -299,7 +297,53 @@ class RingMultiprocessor:
         )
 
         self._ran = False
-        self.warmup.apply_prewarm()
+        self._install_prewarm()
+
+    def _install_prewarm(self) -> None:
+        """Install the workload's prewarm image (``repro.sim.prewarm``):
+        the resident lines, the fill/eviction counters, the line
+        indexes, the trained predictors and presence filters, and the
+        Exact downgrades the walk performed, charged on the
+        construction-time stats and energy (and traced) exactly as
+        they fired.
+        """
+        prewarm = self.source.prewarm()
+        if not prewarm:
+            return
+        config = self.config
+        image = prewarm_image(prewarm, config)
+        all_e = repeat(LineState.E)
+        for core in self.cores:
+            cache = self.nodes[core.cmp_id].caches[core.local_id]
+            sets = cache._sets
+            for set_index, (addresses, states) in image.sets[
+                core.core_id
+            ].items():
+                cache_set = sets[set_index]
+                for address, state in zip(addresses, states or all_e):
+                    cache_set[address] = CacheLine(address, state, 0)
+            fills = image.fills[core.core_id]
+            evictions = image.evictions[core.core_id]
+            cache.fills += fills
+            cache.evictions += evictions
+            if self.presence:
+                # A counting filter's state is the multiset of resident
+                # copies; every fill and eviction was one update.
+                presence = self.presence[core.cmp_id]
+                for cache_set in sets:
+                    for address in cache_set:
+                        presence.filter.add(address)
+                presence.updates += fills + evictions
+        self._holder_count.update(image.holder_count)
+        self._supplier_of.update(image.supplier_of)
+        train_predictors(
+            image,
+            config.predictor,
+            [node.predictor for node in self.nodes],
+            config.cores_per_cmp,
+        )
+        for cmp_id, address in image.downgrades:
+            self.datapath.charge_downgrade(cmp_id, address, False)
 
     # ==================================================================
     # LineRegistry hooks (called synchronously by cache mutations)

@@ -41,7 +41,7 @@ def reshape_profile(
     spread over more CMPs.  Scales ``num_cores`` keeping the profile's
     cores-per-CMP, so per-core trace length and sharing knobs are
     untouched; the reshaped core count lands in the source descriptor,
-    giving the workload its own cache/prewarm keys.
+    giving the workload its own cache keys.
     """
     if num_cmps < 2:
         raise ValueError("need at least 2 CMPs, got %d" % num_cmps)

@@ -26,7 +26,7 @@ import pytest
 from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
 from repro.harness.parallel import RunSpec, execute_spec
-from repro.sim import soa
+from repro.sim import prewarm, soa
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
 from repro.workloads.synthetic import SharingProfile
@@ -81,11 +81,18 @@ def test_soa_fingerprint_differs_from_object():
 
 
 def test_soa_memo_restore_matches_full_walk_and_object(monkeypatch):
-    """A second soa machine on the same prewarmed workload restores
-    the prewarm memo into lazily pending arrays instead of walking; its
-    run must be indistinguishable from the first machine's, and both
-    must match the object core."""
-    monkeypatch.setattr(soa, "_SOA_PREWARM_MEMOS", OrderedDict())
+    """A second soa machine on the same prewarmed workload installs
+    the memoized prewarm image instead of walking; its run must be
+    indistinguishable from the first machine's, and both must match
+    the object core."""
+    monkeypatch.setattr(prewarm, "_IMAGES", OrderedDict())
+    walks = []
+    original = prewarm._walk
+    monkeypatch.setattr(
+        prewarm,
+        "_walk",
+        lambda lines, config: walks.append(1) or original(lines, config),
+    )
     profile = SharingProfile(
         name="memo-restore",
         num_cores=4,
@@ -103,8 +110,8 @@ def test_soa_memo_restore_matches_full_walk_and_object(monkeypatch):
 
     first = build(soa.SoaRingMultiprocessor)
     second = build(soa.SoaRingMultiprocessor)
-    assert not any(first._pending_sets), "first machine walks in full"
-    assert any(second._pending_sets), "second machine restores the memo"
+    assert len(walks) == 1, "the second machine installs the memo"
+    assert second._pending_sets is first._pending_sets
     first_summary = first.run().summary()
     assert second.run().summary() == first_summary
     assert build(RingMultiprocessor).run().summary() == first_summary

@@ -61,17 +61,11 @@ def test_explicit_ring_topology_matches_golden(cell, core):
 @pytest.mark.parametrize("cell", GOLDEN_CELLS[:3], ids=_cell_id)
 def test_explicit_ring_shares_default_cache_key(cell):
     """topology="ring" and the unset default must hit the same cache
-    entry - the fingerprint elides the default TopologyConfig."""
+    entry - they resolve to the same machine."""
     assert (
         _spec(cell, topology="ring").cache_key()
         == _spec(cell).cache_key()
     )
-
-
-def test_default_fingerprint_has_no_topology_key():
-    fingerprint = _spec(GOLDEN_CELLS[0]).fingerprint(1)
-    assert "topology" not in fingerprint
-    assert "topology" not in fingerprint["machine"]
 
 
 # ----------------------------------------------------------------------

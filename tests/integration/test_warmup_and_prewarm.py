@@ -4,15 +4,16 @@ warmup and cache prewarm."""
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 
 import pytest
 
-from repro.config import CacheConfig, default_machine
+from repro.config import CacheConfig, PredictorConfig, default_machine
 from repro.coherence.states import LineState
 from repro.core.algorithms import build_algorithm
-from repro.sim import system as system_module
+from repro.registry import REGISTRY
+from repro.sim import prewarm
 from repro.sim.system import RingMultiprocessor
-from repro.sim.warmup import WarmupController
 from repro.workloads.synthetic import SharingProfile, generate_workload
 
 
@@ -170,17 +171,16 @@ def test_prewarm_mismatched_length_rejected():
 
 
 # ----------------------------------------------------------------------
-# Prewarm fast path and memo (referenced from
-# RingMultiprocessor._apply_prewarm's docstring)
+# Prewarm image and memo (repro.sim.prewarm)
 
 
-def overflow_profile(seed=11):
+def overflow_profile(seed=11, cores_per_cmp=1, think_scale=1.0):
     """Private pool at 2x cache capacity, so prewarm exercises the
     conflict-eviction branch as well as plain fills."""
     return SharingProfile(
         name="overflow",
-        num_cores=4,
-        cores_per_cmp=1,
+        num_cores=4 * cores_per_cmp,
+        cores_per_cmp=cores_per_cmp,
         accesses_per_core=100,
         p_shared=0.2,
         p_cold=0.05,
@@ -188,18 +188,34 @@ def overflow_profile(seed=11):
         private_lines=512,
         prewarm_fraction=1.0,
         seed=seed,
+        think_scale=think_scale,
     )
 
 
-def build_for(algorithm, workload):
+#: Small predictor tables, so Subset drops and Exact downgrades on
+#: conflict during prewarm.
+SMALL_PREDICTORS = {
+    "subset": PredictorConfig(kind="subset", entries=128),
+    "superset_con": None,
+    "exact": PredictorConfig(kind="exact", entries=128),
+}
+
+
+def build_for(
+    algorithm, workload, cores_per_cmp=1, core="object", predictor=None,
+    **fields,
+):
     machine = default_machine(
         algorithm=algorithm,
         num_cmps=4,
-        cores_per_cmp=1,
+        cores_per_cmp=cores_per_cmp,
         cache=CacheConfig(num_lines=256, associativity=8),
+        **fields,
     )
-    return RingMultiprocessor(
-        machine, build_algorithm(algorithm), workload
+    if predictor is not None:
+        machine = machine.replace(predictor=predictor)
+    return REGISTRY.create(
+        "core", core, machine, build_algorithm(algorithm), workload
     )
 
 
@@ -235,129 +251,173 @@ def machine_state(system):
     )
 
 
+def downgrade_state(system):
+    """Prewarm's Exact downgrade charges and the presence filters."""
+    return (
+        system.stats.downgrades,
+        system.energy.breakdown.downgrade_ops,
+        set(system.datapath._downgraded),
+        [
+            (p.filter.snapshot(), p.updates, p.lookups)
+            for p in system.presence
+        ],
+    )
+
+
 def test_prewarm_fast_path_matches_generic_fill():
-    """The inlined prewarm walk must be observably identical to
-    filling every line through the generic (callback-driven)
-    ``cache.fill`` path."""
-    workload = generate_workload(overflow_profile())
-    assert workload.prewarm
-    fast = build_for("subset", workload)
-
+    """Installing the prewarm image must be observably identical to
+    filling every line through the generic ``cache.fill`` path with
+    the real callbacks (registry, predictor training, presence
+    filters) and Exact's real downgrade handler - for Subset, Superset
+    and Exact, with and without the write-snoop presence filter - and
+    the soa core must run the same image to the same summary."""
+    workload = generate_workload(overflow_profile(cores_per_cmp=2))
+    # Re-listing a few lines exercises the duplicate (update in place)
+    # path, including an SL line regaining its supplier role.
+    workload.prewarm = [lines + lines[:48] for lines in workload.prewarm]
     bare = dataclasses.replace(workload, prewarm=[])
-    generic = build_for("subset", bare)
-    for core, lines in zip(generic.cores, workload.prewarm):
-        cache = generic.nodes[core.cmp_id].caches[core.local_id]
-        for address in reversed(lines):
-            cache.fill(address, LineState.E, 0)
+    for algorithm, predictor in SMALL_PREDICTORS.items():
+        for filter_write_snoops in (False, True):
+            fast = build_for(
+                algorithm, workload, 2, predictor=predictor,
+                filter_write_snoops=filter_write_snoops,
+            )
+            generic = build_for(
+                algorithm, bare, 2, predictor=predictor,
+                filter_write_snoops=filter_write_snoops,
+            )
+            for core, lines in zip(generic.cores, workload.prewarm):
+                cache = generic.nodes[core.cmp_id].caches[core.local_id]
+                for address in reversed(lines):
+                    cache.fill(address, LineState.E, 0)
 
-    assert machine_state(fast) == machine_state(generic)
-    # The overflow pool must actually have exercised evictions, or the
-    # comparison above proves less than it claims.
-    assert any(state[2] > 0 for state in machine_state(fast)[0])
+            assert machine_state(fast) == machine_state(generic)
+            assert downgrade_state(fast) == downgrade_state(generic)
+            if filter_write_snoops:
+                assert downgrade_state(fast)[3][0][1] > 0
+            else:
+                soa = build_for(
+                    algorithm, workload, 2, core="soa", predictor=predictor
+                )
+                assert soa.run().summary() == fast.run().summary()
+        # The overflow pool must actually have exercised evictions
+        # (and Exact its downgrades), or the comparison above proves
+        # less than it claims.
+        assert all(state[2] > 0 for state in machine_state(fast)[0])
+        if algorithm == "exact":
+            assert downgrade_state(generic)[0] > 0
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """An empty image memo; the returned list records every walk."""
+    monkeypatch.setattr(prewarm, "_IMAGES", OrderedDict())
+    walked = []
+    original = prewarm._walk
+
+    def spy(lines, config):
+        walked.append(config.predictor)
+        return original(lines, config)
+
+    monkeypatch.setattr(prewarm, "_walk", spy)
+    return walked
 
 
 @pytest.mark.parametrize("algorithm", ["oracle", "subset", "superset_con"])
-def test_prewarm_memo_matches_full_walk(algorithm, monkeypatch):
-    """Restoring a recorded prewarm memo must leave the machine in
-    exactly the state a full walk produces, and the run built on top
-    of it must be bit-identical."""
-    system_module._PREWARM_MEMOS.clear()
+def test_prewarm_memo_matches_full_walk(algorithm, walks, monkeypatch):
+    """A machine built from a memoized image must be in exactly the
+    state a full walk produces, and run bit-identically."""
     workload = generate_workload(overflow_profile())
+    first = build_for(algorithm, workload)  # walks and stores the image
+    assert len(walks) == 1
+    memoized = build_for(algorithm, workload)
+    # An equal-but-distinct trace object has the same prewarm lists,
+    # so it shares the content-keyed image too.
+    distinct = build_for(algorithm, generate_workload(overflow_profile()))
+    assert len(walks) == 1
 
-    restored = []
-    original = WarmupController._restore_prewarm
-
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
-
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
-
-    first = build_for(algorithm, workload)  # records the memo
-    assert not restored
-    assert len(system_module._PREWARM_MEMOS) == 1
-
-    memoized = build_for(algorithm, workload)  # must hit the memo
-    assert len(restored) == 1
-
-    # An equal-but-distinct trace object misses the identity-keyed
-    # memo and takes the full walk again: the reference state.
-    walked = build_for(algorithm, generate_workload(overflow_profile()))
-    assert len(restored) == 1
+    monkeypatch.setattr(prewarm, "_IMAGES", OrderedDict())
+    walked = build_for(algorithm, workload)  # the reference walk
+    assert len(walks) == 2
 
     assert machine_state(memoized) == machine_state(walked)
     assert machine_state(memoized) == machine_state(first)
+    assert machine_state(distinct) == machine_state(first)
     assert memoized.run().summary() == walked.run().summary()
 
 
-def test_prewarm_memo_skipped_for_exact_predictor():
-    """Exact's conflict downgrades let predictor training feed back
-    into cache state, so its prewarm is never memoized."""
-    system_module._PREWARM_MEMOS.clear()
+def test_prewarm_memo_shared_per_exact_config(walks):
+    """Exact's conflict downgrades make the walk depend on the
+    predictor, so its images are keyed on the predictor config: one
+    image per Exact config, shared by both cores, distinct from the
+    image every non-Exact predictor shares."""
     workload = generate_workload(overflow_profile())
-    build_for("exact", workload)
-    assert not system_module._PREWARM_MEMOS
+    small = {"predictor": SMALL_PREDICTORS["exact"]}
+    first = build_for("exact", workload, **small)
+    second = build_for("exact", workload, **small)
+    soa = build_for("exact", workload, core="soa", **small)
+    assert walks == [SMALL_PREDICTORS["exact"]]
+    assert machine_state(first) == machine_state(second)
+    assert downgrade_state(first) == downgrade_state(second)
+    assert downgrade_state(first)[0] > 0
+    assert soa.run().summary() == first.run().summary()
+
+    build_for("exact", workload)  # Exa2k: a second Exact image
+    build_for("subset", workload)
+    build_for("superset_con", workload, core="soa")  # shares subset's
+    assert [config.kind for config in walks] == ["exact", "exact", "subset"]
+    assert len(prewarm._IMAGES) == 3
 
 
-def test_prewarm_memo_rekeyed_on_source_descriptor(monkeypatch):
-    """Two *distinct* sources with equal descriptors (same profile)
-    share one memo: the content-addressed key replaces the old
-    object-identity key whenever a source publishes a descriptor."""
+def test_prewarm_memo_rekeyed_on_source_descriptor(walks):
+    """Two *distinct* sources with equal profiles share one image: the
+    key is the prewarm content, not the source object or its
+    descriptor.  Another seed draws other accesses from the same
+    private pool, so it shares the image too; a smaller prewarm
+    fraction changes the lists and walks again."""
     from repro.workloads.source import SyntheticSource
 
-    system_module._PREWARM_MEMOS.clear()
-
-    restored = []
-    original = WarmupController._restore_prewarm
-
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
-
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
-
     first = build_for("subset", SyntheticSource(overflow_profile()))
-    assert not restored
-    assert len(system_module._PREWARM_MEMOS) == 1
-    (key,) = system_module._PREWARM_MEMOS
-    assert key[0] == "desc"
-
-    # A brand-new source object, equal profile: memo hit.
+    assert len(walks) == 1
     second = build_for("subset", SyntheticSource(overflow_profile()))
-    assert len(restored) == 1
+    assert len(walks) == 1
     assert machine_state(first) == machine_state(second)
 
-    # A different profile (other seed) misses and records a new memo.
     build_for("subset", SyntheticSource(overflow_profile(seed=12)))
-    assert len(restored) == 1
-    assert len(system_module._PREWARM_MEMOS) == 2
+    assert len(walks) == 1
+    half = dataclasses.replace(overflow_profile(), prewarm_fraction=0.5)
+    build_for("subset", SyntheticSource(half))
+    assert len(walks) == 2
+    assert len(prewarm._IMAGES) == 2
 
 
-def test_prewarm_memo_shared_across_file_and_memory(tmp_path, monkeypatch):
-    """A file replay of a saved trace hits... a fresh memo keyed on
-    the file's content hash, and a second replay of the same file
-    (new source object, new scan) hits that memo."""
+def test_prewarm_memo_shared_across_file_and_memory(tmp_path, walks):
+    """An in-memory trace and its ``file:`` replay have the same
+    prewarm lists, so they share one image; so does a second replay
+    of the file (new source object, new scan)."""
     from repro.workloads.io import save_trace
     from repro.workloads.source import FileReplaySource
 
-    system_module._PREWARM_MEMOS.clear()
     workload = generate_workload(overflow_profile())
     path = tmp_path / "overflow.jsonl"
     save_trace(workload, path)
 
-    restored = []
-    original = WarmupController._restore_prewarm
-
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
-
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
-
     direct = build_for("subset", workload)
     first = build_for("subset", FileReplaySource(path))
-    assert not restored  # identity key vs content key: distinct memos
     second = build_for("subset", FileReplaySource(path))
-    assert len(restored) == 1
+    assert len(walks) == 1
     assert machine_state(first) == machine_state(second)
     assert machine_state(first) == machine_state(direct)
+
+
+def test_prewarm_image_shared_across_think_scales(walks):
+    """Think-time re-pacing leaves the prewarm lists unchanged, so
+    every rung of a saturation ladder shares one image."""
+    from repro.workloads.source import SyntheticSource
+
+    native = build_for("subset", SyntheticSource(overflow_profile()))
+    paced = build_for(
+        "subset", SyntheticSource(overflow_profile(think_scale=0.25))
+    )
+    assert len(walks) == 1
+    assert machine_state(native) == machine_state(paced)

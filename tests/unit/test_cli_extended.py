@@ -443,3 +443,37 @@ def test_cli_rejects_bad_scale_and_seed_in_one_line(
     assert "argument %s" % flag in err
     assert expected in err and repr(value) in err
     assert "Traceback" not in err
+
+
+#: Invalid machine shapes and timings, each rejected at the CLI with
+#: the same one-line, exit-2 shape as the argument checks above.
+INVALID_MACHINE_ARGV = [
+    (["run", "--topology", "hier_ring", "--num-cmps", "6"], "divisible"),
+    (["run", "--num-cmps", "1"], "at least 2 CMPs"),
+    (["run", "--num-cmps", "-3"], "at least 2 CMPs"),
+    (["figure", "saturation", "--think-scales", "0"], "positive floats"),
+    (["sweep", "ring.hop_latency", "--values", "-5"], "must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    INVALID_MACHINE_ARGV,
+    ids=[
+        "hier-ring-6-cmps",
+        "one-cmp",
+        "negative-cmps",
+        "zero-think-scale",
+        "negative-hop-latency",
+    ],
+)
+def test_cli_rejects_invalid_machine_in_one_line(argv, expected, capsys):
+    try:
+        code = main(argv + ["--scale", "20"])
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert expected in err
+    assert "Traceback" not in err

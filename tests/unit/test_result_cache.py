@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import pytest
 
@@ -91,12 +92,41 @@ def test_key_distinguishes_machine_config():
 
 def test_key_includes_code_version(monkeypatch):
     before = SPEC.cache_key()
-    monkeypatch.setattr(
-        rc_module,
-        "CACHE_SCHEMA_VERSION",
-        rc_module.CACHE_SCHEMA_VERSION + 1,
-    )
+    monkeypatch.setattr(rc_module, "model_digest", lambda: "0" * 64)
     assert SPEC.cache_key() != before
+
+
+def test_model_source_edit_rekeys_and_strands_old_entries(
+    cache, tmp_path, monkeypatch
+):
+    """One byte changed anywhere in the package source - here the ring
+    walker - changes every key: the old entry is a miss under the new
+    code and counts as stale."""
+    key = SPEC.cache_key()
+    cache.put(key, run_specs([SPEC], jobs=1)[0])
+
+    copies = {}
+    for name in ("pristine", "edited"):
+        copies[name] = tmp_path / name / "repro"
+        shutil.copytree(
+            rc_module.PACKAGE_ROOT,
+            copies[name],
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    assert rc_module.source_digest(copies["pristine"]) == (
+        rc_module.model_digest()
+    )
+    walker = copies["edited"] / "sim" / "walker.py"
+    source = bytearray(walker.read_bytes())
+    source[-1] ^= 0x01
+    walker.write_bytes(bytes(source))
+
+    monkeypatch.setattr(rc_module, "PACKAGE_ROOT", copies["edited"])
+    edited_key = SPEC.cache_key()
+    assert edited_key != key
+    assert cache.get(edited_key) is None
+    info = cache.info()
+    assert (info["entries"], info["stale_entries"]) == (0, 1)
 
 
 def test_fingerprint_key_is_stable_across_dict_order():
@@ -193,8 +223,9 @@ def test_clear_removes_tmp_and_empty_shard_dirs(cache):
 def test_accounting_ignores_stale_schema_entries(cache):
     result = run_specs([SPEC], jobs=1)[0]
     cache.put(SPEC.cache_key(), result)
-    # An entry written under an older cache schema: never served, so
-    # it must not be counted as live - but clear() still removes it.
+    # An entry written by other code (another model digest): never
+    # served, so it must not be counted as live - but clear() still
+    # removes it.
     stale = cache.root / "v1" / "ab" / ("ab" + "0" * 62 + ".pkl")
     stale.parent.mkdir(parents=True)
     stale.write_bytes(b"old entry")
