@@ -154,8 +154,7 @@ def run_on(core_cls):
     algorithm = build_algorithm("backoff")
     # Compressed think time piles transactions on top of each other,
     # so squash/retry cycles (Backoff's decision input) actually
-    # happen - and it stays inside the soa core's envelope, unlike
-    # the link-contention knobs (object core only).
+    # happen.
     source = resolve_source(
         WORKLOAD, accesses_per_core=SCALE, think_scale=0.25
     )

@@ -35,6 +35,7 @@ memoize completed runs in a persistent cache under
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, NoReturn, Optional
 
@@ -80,6 +81,42 @@ def _positive_int(text: str) -> int:
 def _non_negative_int(text: str) -> int:
     """argparse type of ``--seed`` (0 = the workload's own seed)."""
     return _int_at_least(text, 0, "non-negative")
+
+
+def _as_positive_float(text: str) -> Optional[float]:
+    """``text`` as a finite float above 0, or None if it is not one."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if 0.0 < value < math.inf else None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--think-scale``: a finite float above 0."""
+    value = _as_positive_float(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            "expected a positive finite float, got %r" % text
+        )
+    return value
+
+
+def _positive_floats(flag: str, text: str) -> Optional[List[float]]:
+    """Parse ``--think-scales`` / ``--target-rates``: a comma-separated
+    list of positive finite floats, or None (the built-in default) for
+    an empty string; anything else raises a one-line ValueError."""
+    values: List[float] = []
+    for item in text.split(","):
+        if item.strip():
+            value = _as_positive_float(item)
+            if value is None:
+                raise ValueError(
+                    "%s must be a comma-separated list of positive "
+                    "floats, got %r" % (flag, text)
+                )
+            values.append(value)
+    return values or None
 
 
 def _num_cmps(text: str) -> int:
@@ -285,6 +322,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    # Checked for every figure (not only saturation, which reads them)
+    # so an invalid value never starts a long run that ignores it.
+    try:
+        think_scales = _positive_floats("--think-scales", args.think_scales)
+        target_rates = _positive_floats("--target-rates", args.target_rates)
+    except ValueError as exc:
+        print("flexsnoop: %s" % exc, file=sys.stderr)
+        return 2
     if args.number == "saturation":
         from repro.harness.saturation import (
             DEFAULT_THINK_SCALES,
@@ -292,38 +337,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             run_saturation,
         )
 
-        try:
-            scales = (
-                [float(s) for s in args.think_scales.split(",")
-                 if s.strip()]
-                if args.think_scales
-                else DEFAULT_THINK_SCALES
-            )
-            if min(scales) <= 0:
-                raise ValueError(args.think_scales)
-        except ValueError:
-            print(
-                "flexsnoop: --think-scales must be a comma-separated "
-                "list of positive floats, got %r" % args.think_scales,
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            targets = (
-                [float(s) for s in args.target_rates.split(",")
-                 if s.strip()]
-                if args.target_rates
-                else None
-            )
-            if targets is not None and min(targets) <= 0:
-                raise ValueError(args.target_rates)
-        except ValueError:
-            print(
-                "flexsnoop: --target-rates must be a comma-separated "
-                "list of positive floats, got %r" % args.target_rates,
-                file=sys.stderr,
-            )
-            return 2
         algorithms = _parse_algorithm_list(args.algorithms)
         if not algorithms:
             print(
@@ -336,8 +349,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             algorithms=algorithms,
             topologies=[t for t in args.topologies.split(",") if t],
             workload=args.workload,
-            think_scales=scales,
-            target_rates=targets,
+            think_scales=think_scales or DEFAULT_THINK_SCALES,
+            target_rates=target_rates,
             accesses_per_core=args.scale,
             seed=args.seed,
             link_occupancy=args.link_occupancy,
@@ -1002,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure criticality options"
     )
     criticality_group.add_argument(
-        "--think-scale", type=float, default=1.0,
+        "--think-scale", type=_positive_float, default=1.0,
         help="think-time multiplier for the criticality matrix "
         "(1.0 = native pacing; < 1 drives the loaded regime where "
         "retries and MSHR queueing occur)",

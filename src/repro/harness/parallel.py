@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import MachineConfig, default_machine
+from repro.config import ConfigError, MachineConfig, default_machine
 from repro.registry import REGISTRY
 from repro.core.algorithms import build_algorithm
 from repro.harness.result_cache import (
@@ -91,8 +91,25 @@ class RunSpec:
         With no explicit ``config`` override the default machine is
         shaped to the workload source's geometry - builtin profiles
         populate the paper's 8 CMPs, but a replayed trace file brings
-        its own CMP count.
+        its own CMP count.  An override must already have that shape:
+        a conflict raises :class:`ConfigError` here, so neither
+        ``cache_key()`` nor ``execute_spec`` does any work for it.
         """
+        if self.config is not None and (
+            self.config.num_cmps,
+            self.config.cores_per_cmp,
+        ) != (num_cmps, cores_per_cmp):
+            raise ConfigError(
+                "workload %r spans %d CMPs x %d cores but the config "
+                "override spans %d CMPs x %d cores"
+                % (
+                    self.workload,
+                    num_cmps,
+                    cores_per_cmp,
+                    self.config.num_cmps,
+                    self.config.cores_per_cmp,
+                )
+            )
         if self.config is None:
             machine = default_machine(
                 algorithm=self.algorithm,

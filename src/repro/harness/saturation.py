@@ -219,9 +219,9 @@ def run_saturation(
     must inject".  Otherwise ``think_scales`` is swept directly.
 
     The contention knobs (``link_occupancy``,
-    ``serialize_snoop_port``) shape every run's ring; they are
-    object-core features, so ``core`` must stay ``"object"`` unless
-    contention is disabled.
+    ``serialize_snoop_port``) shape every run's ring; both cores model
+    them, so ``core="soa"`` runs the study bit-identically to
+    ``"object"``, only faster.
 
     Returns one :class:`SaturationCurve` per (algorithm, topology), in
     ``algorithms``-major order; every simulation of the study is fanned

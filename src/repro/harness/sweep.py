@@ -30,10 +30,11 @@ Typos raise ``ValueError`` listing every valid field path.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.config import MachineConfig, default_machine
+from repro.config import ConfigError, MachineConfig, default_machine
 from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.result_cache import ResultCache
 from repro.sim.system import SimulationResult
@@ -114,6 +115,9 @@ def field_mutator(path: str) -> ConfigMutator:
     Resolution is validated here, against the dataclass schema, so a
     typo fails fast with the full list of valid paths instead of
     surfacing as an opaque ``dataclasses.replace`` error mid-sweep.
+    Numeric fields also check each value's type when it is assigned:
+    an integer field takes integers only, a float field any finite
+    number, and anything else raises :class:`ConfigError`.
     """
     valid = valid_sweep_fields()
     if path not in valid:
@@ -121,13 +125,30 @@ def field_mutator(path: str) -> ConfigMutator:
             "unknown sweep field %r; valid fields: %s"
             % (path, ", ".join(valid))
         )
-    parts = path.split(".")
-    if len(parts) == 1:
-        return lambda config, value: config.replace(**{path: value})
-    section, field_name = parts
-    return lambda config, value: _nested_replace(
-        config, section, field_name, value
+    default: Any = MachineConfig()
+    for part in path.split("."):
+        default = getattr(default, part)
+    numeric = isinstance(default, (int, float)) and not isinstance(
+        default, bool
     )
+    integral = isinstance(default, int)
+
+    def mutate(config: MachineConfig, value: Any) -> MachineConfig:
+        if numeric and not _is_number(value, integral):
+            raise ConfigError(
+                "sweep field %r takes %s, got %r"
+                % (
+                    path,
+                    "an integer" if integral else "a finite number",
+                    value,
+                )
+            )
+        if "." not in path:
+            return config.replace(**{path: value})
+        section, field_name = path.split(".")
+        return _nested_replace(config, section, field_name, value)
+
+    return mutate
 
 
 def run_sweep(
@@ -190,6 +211,14 @@ def run_sweep(
             for value, result in zip(values, results)
         ],
     )
+
+
+def _is_number(value: Any, integral: bool) -> bool:
+    if isinstance(value, bool):
+        return False
+    if integral:
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _nested_replace(config: MachineConfig, section: str, field_name: str,

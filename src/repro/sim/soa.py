@@ -44,16 +44,29 @@ at the same simulated instant in the same relative event order, and
 every float in the output is either a sum of identically-ordered
 additions of one constant or a single division of integer counters.
 The golden suite (``tests/golden``) and a Hypothesis property test
-(``tests/property/test_core_equivalence.py``) enforce this.
+(``tests/property/test_soa_equivalence_properties.py``) enforce this.
+
+Contention
+----------
+
+The loaded regime's two knobs are modeled in the fused loop as plain
+integer next-free-time lists, restating the object walker's
+``_cross_link`` / ``_reserve_snoop_port``: ``link_free`` holds one
+slot per physical link the topology's ``segment_links()`` names
+("ring"-scoped links once per embedded ring, "shared" ones once) and
+``port_free`` one slot per CMP snoop port.  Both are cleared at warmup
+end, and either knob turns hop batching off, as on the object core.
+With both knobs off the walk pays only two hoisted-local tests.
 
 Supported envelope
 ------------------
 
-The fused loop only implements the paper's main configuration space.
-Features that need per-link or per-port arbitration state, the
-presence-filter extension, or observability hooks fall back to the
-object core; :func:`check_soa_supported` raises
-:class:`SoaUnsupportedError` with the concrete reason.
+The fused loop implements the paper's configuration space plus the
+contention models.  The presence-filter extension, per-retire
+invariant checks, version tracking and observability hooks (tracing,
+the metrics timeline) fall back to the object core;
+:func:`check_soa_supported` raises :class:`SoaUnsupportedError` with
+the concrete reason.
 """
 
 from __future__ import annotations
@@ -97,16 +110,14 @@ def check_soa_supported(
     """Raise :class:`SoaUnsupportedError` unless ``config`` is inside
     the SoA core's envelope.
 
-    The excluded features all thread per-event mutable state through
-    the object core's subsystem seams (link reservations, snoop-port
-    queues, presence filters, trace emission); supporting them here
-    would reintroduce exactly the indirection this core removes.
+    The excluded features all thread per-event mutable state or hooks
+    through the object core's subsystem seams (presence filters,
+    invariant and version checks, trace emission, timeline sampling);
+    supporting them here would reintroduce exactly the indirection
+    this core removes.  Link and snoop-port contention are inside the
+    envelope (see the module docstring).
     """
     reasons = []
-    if config.ring.link_occupancy:
-        reasons.append("ring.link_occupancy (link contention modeling)")
-    if config.ring.serialize_snoop_port:
-        reasons.append("ring.serialize_snoop_port (snoop-port queueing)")
     if config.filter_write_snoops:
         reasons.append("filter_write_snoops (presence-filter extension)")
     if config.check_invariants:
@@ -338,7 +349,13 @@ class SoaRingMultiprocessor:
         num_sets = config.cache.num_sets
         associativity = config.cache.associativity
         snoop_time = config.ring.snoop_time
-        batching = config.ring.hop_batching
+        occupancy = config.ring.link_occupancy
+        serialize_port = config.ring.serialize_snoop_port
+        # Either contention knob shares sub-hop state between in-flight
+        # messages, so it turns hop batching off (the walker's rule).
+        batching = (
+            config.ring.hop_batching and not occupancy and not serialize_port
+        )
         hit_latency = config.cache.hit_latency
         local_master_latency = config.cache.local_master_latency
         squash_backoff = config.squash_backoff
@@ -372,6 +389,32 @@ class SoaRingMultiprocessor:
             ]
             for src in range(num_cmps)
         ]
+        # Contention state: next-free time of every physical link and
+        # of every CMP's snoop port.  Links are keyed like the object
+        # walker's reservations - ``(ring, lid)`` for a "ring"-scoped
+        # link, ``(-1, lid)`` for a shared one - and each distinct key
+        # the topology names gets one ``link_free`` slot.
+        # ``link_slots[ring][node]`` lists the slots behind the segment
+        # out of ``node`` for a message of embedded ring ``ring``.
+        ring_of = topology.ring_of
+        slot_of: Dict[Tuple[int, int], int] = {}
+        link_slots = [
+            [
+                tuple(
+                    slot_of.setdefault(
+                        (ring if scope == "ring" else -1, lid), len(slot_of)
+                    )
+                    for scope, lid in topology.segment_links(node)
+                )
+                for node in range(num_cmps)
+            ]
+            for ring in range(topology.num_rings)
+        ]
+        link_free = [0] * len(slot_of)
+        port_free = [0] * num_cmps
+        pred = [0] * num_cmps
+        for _node, _downstream in enumerate(succ):
+            pred[_downstream] = _node
 
         uses_pred = algorithm.uses_predictor()
         decouple = algorithm.decouple_writes
@@ -551,6 +594,9 @@ class SoaRingMultiprocessor:
             for predictor in predictors:
                 predictor.lookups = 0
                 predictor.updates = 0
+            # Warmup-era reservations must not delay measured traffic.
+            link_free[:] = [0] * len(link_free)
+            port_free[:] = [0] * num_cmps
 
         if has_pred_table and kind == "exact":
             # Rebind the conflict-downgrade callback to a run-phase
@@ -728,6 +774,20 @@ class SoaRingMultiprocessor:
                 (at_time + current.think_time, seq, _OP_ISSUE, core, 0),
             )
 
+        def cross_link(node_id: int, address: int, departure: int) -> int:
+            """Reserve every physical link behind the segment out of
+            ``node_id``; returns the actual departure time (the
+            object walker's ``_cross_link``)."""
+            slots = link_slots[ring_of(address)][node_id]
+            actual = departure
+            for slot in slots:
+                if link_free[slot] > actual:
+                    actual = link_free[slot]
+            until = actual + occupancy
+            for slot in slots:
+                link_free[slot] = until
+            return actual
+
         def walk(txn: list, node_id: int, at: int, entering: bool) -> None:
             """Process the ring walk from ``node_id``: the arrival at
             that node when ``entering``, else the initial forward out
@@ -762,6 +822,10 @@ class SoaRingMultiprocessor:
                         return
                     if txn[_T_SPLIT]:
                         # Advance the trailing reply into this node.
+                        if occupancy:
+                            txn[_T_REPLY] = cross_link(
+                                pred[node_id], address, txn[_T_REPLY]
+                            )
                         txn[_T_REPLY] += in_lat[node_id]
                         e_ring += cost_ring
                         if is_write:
@@ -777,6 +841,10 @@ class SoaRingMultiprocessor:
                             entry is not None and entry[0] == node_id
                         )
                         snoop_done = at + snoop_time
+                        if serialize_port:
+                            if port_free[node_id] > at:
+                                snoop_done = port_free[node_id] + snoop_time
+                            port_free[node_id] = snoop_done
                         if decouple:
                             # FORWARD_THEN_SNOOP
                             if txn[_T_SPLIT]:
@@ -919,6 +987,12 @@ class SoaRingMultiprocessor:
                         else:
                             start = at + plat
                             snoop_done = start + snoop_time
+                            if serialize_port:
+                                if port_free[node_id] > start:
+                                    snoop_done = (
+                                        port_free[node_id] + snoop_time
+                                    )
+                                port_free[node_id] = snoop_done
                             supplied = False
                             if primitive == _P_STF:
                                 if supplier_here:
@@ -1022,6 +1096,8 @@ class SoaRingMultiprocessor:
                     write_ring_crossings += 1
                 else:
                     read_ring_crossings += 1
+                if occupancy:
+                    departure = cross_link(node_id, address, departure)
                 arrival = departure + out_lat[node_id]
                 to_node = succ[node_id]
                 if (

@@ -12,7 +12,10 @@ checked against:
   which is pinned to the same file by ``test_golden_equivalence``);
 * the fingerprints of the two cores differ, so the result cache never
   serves one core's entry for the other (their ``events`` counts are
-  diagnostic and differ even though summaries match).
+  diagnostic and differ even though summaries match);
+* the loaded regime: the saturation study's contended cells (link
+  occupancy and serialized snoop ports, ring and 16-CMP hier_ring)
+  produce the same summary on both cores.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ import pytest
 from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
 from repro.harness.parallel import RunSpec, execute_spec
+from repro.harness.saturation import (
+    DEFAULT_LINK_OCCUPANCY,
+    _saturation_spec,
+    _study_cmps,
+)
 from repro.sim import prewarm, soa
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
@@ -115,3 +123,33 @@ def test_soa_memo_restore_matches_full_walk_and_object(monkeypatch):
     first_summary = first.run().summary()
     assert second.run().summary() == first_summary
     assert build(RingMultiprocessor).run().summary() == first_summary
+
+
+#: The saturation study's contended cells: two primitives' worth of
+#: policy (lazy is Snoop-Then-Forward throughout, criticality switches
+#: to Forward-Then-Snoop under pressure) x both topologies x a light,
+#: a knee-side and a saturated rung of the injection ladder.
+SATURATION_CELLS = [
+    (algorithm, topology, think_scale)
+    for algorithm in ("lazy", "criticality")
+    for topology in ("ring", "hier_ring")
+    for think_scale in (40.0, 3.0, 0.3)
+]
+
+
+@pytest.mark.parametrize(
+    "cell", SATURATION_CELLS, ids=lambda cell: "%s-%s-x%s" % cell
+)
+def test_soa_matches_object_on_saturation_cells(cell):
+    algorithm, topology, think_scale = cell
+    summaries = [
+        execute_spec(
+            _saturation_spec(
+                algorithm, topology, "splash2", think_scale,
+                50, 0, 0.3, DEFAULT_LINK_OCCUPANCY, True,
+                _study_cmps(topology, 0), core,
+            )
+        ).summary()
+        for core in ("object", "soa")
+    ]
+    assert summaries[1] == summaries[0]

@@ -12,17 +12,23 @@ the 16-CMP two-level ``hier_ring`` machine with tracing on and the
 per-segment trace auditor reports zero violations, the soa core
 matches the object core on ``hier_ring`` at 8 and 16 CMPs, and a
 16-CMP trace file replays through the default machine (the torus
-auto-derive fix).
+auto-derive fix).  Link and snoop-port contention on a plugin
+topology must book the same links on both cores.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.config import default_machine
+from repro.harness.experiments import run_experiment
 from repro.harness.parallel import RunSpec, execute_spec
+from repro.registry import REGISTRY
+from repro.ring.topology import SnoopTopology
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "summaries.json")
 GOLDEN_SCALE = 200
@@ -172,3 +178,86 @@ def test_16cmp_trace_replays_through_default_machine(tmp_path):
     )
     assert result.exec_time > 0
     assert result.stats.reads > 0
+
+
+# ----------------------------------------------------------------------
+# Contention on a plugin topology
+
+
+class _PackagedRing(SnoopTopology):
+    """Plugin flat ring over CMPs packaged in pairs, built the way a
+    third-party topology usually is: ``super().__init__(num_nodes)``,
+    so it has one embedded ring whatever ``ring.num_rings`` says.
+    With ``bridged`` every package-crossing segment also occupies
+    that package's one shared off-package link, declared through
+    ``segment_links`` alone (``link_counts`` keeps the base default)."""
+
+    def __init__(self, num_nodes: int, bridged: bool) -> None:
+        super().__init__(num_nodes)
+        self.kind = "packaged_ring_bridged" if bridged else "packaged_ring"
+        self._bridged = bridged
+
+    def next_node(self, node):
+        self._check(node)
+        return node + 1 if node + 1 < self.num_nodes else 0
+
+    def segment_latency(self, node):
+        self._check(node)
+        return 60 if node % 2 else 15
+
+    def transfer_latency(self, src, dst):
+        return 40 + 10 * self.ring_distance(src, dst)
+
+    def segment_links(self, node):
+        self._check(node)
+        if self._bridged and node % 2:
+            return (("ring", node), ("shared", node // 2))
+        return (("ring", node),)
+
+
+@pytest.fixture
+def packaged_rings():
+    names = ("packaged_ring", "packaged_ring_bridged")
+    for name in names:
+        REGISTRY.register(
+            "topology",
+            name,
+            lambda config, bridged=name.endswith("bridged"): _PackagedRing(
+                config.num_cmps, bridged
+            ),
+        )
+    yield names
+    for name in names:
+        REGISTRY.unregister("topology", name)
+
+
+@pytest.mark.parametrize("bridged", [False, True], ids=["plain", "bridged"])
+@pytest.mark.parametrize(
+    "occupancy, serialize_port", [(30, False), (600, False), (30, True)]
+)
+def test_plugin_topology_contention_soa_matches_object(
+    packaged_rings, bridged, occupancy, serialize_port
+):
+    """soa books links on the keys the object walker uses: the
+    topology's own ``ring_of``/``num_rings`` (here one ring under a
+    two-ring config) and every distinct ``segment_links`` descriptor,
+    not a block layout derived from ``link_counts()``."""
+    machine = default_machine(algorithm="lazy", cores_per_cmp=1)
+    machine = dataclasses.replace(
+        machine,
+        ring=dataclasses.replace(
+            machine.ring,
+            link_occupancy=occupancy,
+            serialize_snoop_port=serialize_port,
+        ),
+    )
+    assert machine.ring.num_rings == 2
+    topology = packaged_rings[bridged]
+    summaries = [
+        run_experiment(
+            "lazy", "specjbb", accesses_per_core=80, config=machine,
+            topology=topology, core=core,
+        ).summary()
+        for core in ("object", "soa")
+    ]
+    assert summaries[1] == summaries[0]

@@ -8,7 +8,11 @@ crossings, energy, predictor accuracy, latency percentiles, all of
 it.  Randomized profiles reach corner cases the fixed matrix cannot:
 migratory and producer-consumer sharing mixed with prewarm, tiny
 caches under eviction pressure, multi-core CMPs with local-master
-hits, warmup cutoffs landing mid-transaction.
+hits, warmup cutoffs landing mid-transaction.  The loaded regime is
+drawn too: link occupancy and snoop-port queueing, one or two
+embedded rings, flat and hierarchical topologies, and re-paced
+injection - the contention reservations are ordered state the fused
+loop must book in exactly the object walker's order.
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ ALGORITHMS = [
     "superset_con",
     "superset_agg",
     "exact",
+    "criticality",
 ]
+
+#: hier_ring shapes: (num_cmps, local_rings), at least 2 CMPs per ring.
+HIER_SHAPES = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)]
 
 profiles = st.builds(
     SharingProfile,
@@ -59,25 +67,48 @@ profiles = st.builds(
 @st.composite
 def scenarios(draw):
     profile = draw(profiles)
-    num_cmps = draw(st.integers(2, 4))
+    # Weighted toward the paper's uncontended flat ring, the only
+    # configuration where soa's hop batching runs.
+    topology = draw(st.sampled_from(["ring", "ring", "hier_ring"]))
+    if topology == "ring":
+        num_cmps, local_rings = draw(st.integers(2, 4)), 4
+    else:
+        num_cmps, local_rings = draw(st.sampled_from(HIER_SHAPES))
     profile = dataclasses.replace(
-        profile, num_cores=num_cmps * profile.cores_per_cmp
+        profile,
+        num_cores=num_cmps * profile.cores_per_cmp,
+        think_scale=draw(st.sampled_from([0.3, 1.0, 3.0])),
     )
     algorithm = draw(st.sampled_from(ALGORITHMS))
     warmup = draw(st.sampled_from([0.0, 0.3]))
-    return profile, algorithm, warmup
+    machine = default_machine(
+        algorithm=algorithm,
+        cores_per_cmp=profile.cores_per_cmp,
+        num_cmps=num_cmps,
+    )
+    occupancy, serialize_port = 0, False
+    if draw(st.sampled_from([False, False, False, True, True])):
+        occupancy = draw(st.sampled_from([0, 3, 30, 600]))
+        serialize_port = draw(st.booleans())
+    machine = machine.replace(
+        ring=dataclasses.replace(
+            machine.ring,
+            link_occupancy=occupancy,
+            serialize_snoop_port=serialize_port,
+            num_rings=draw(st.sampled_from([1, 2])),
+        ),
+        topology=dataclasses.replace(
+            machine.topology, kind=topology, local_rings=local_rings
+        ),
+    )
+    return profile, machine, algorithm, warmup
 
 
 @given(scenarios())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_cores_agree_bit_identically(scenario):
-    profile, algorithm_name, warmup = scenario
+    profile, machine, algorithm_name, warmup = scenario
     source = SyntheticSource(profile)
-    machine = default_machine(
-        algorithm=algorithm_name,
-        cores_per_cmp=profile.cores_per_cmp,
-        num_cmps=profile.num_cores // profile.cores_per_cmp,
-    )
     object_result = RingMultiprocessor(
         machine,
         build_algorithm(algorithm_name),

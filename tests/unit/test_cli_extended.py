@@ -4,6 +4,8 @@ parallel/caching options of the matrix commands."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.harness.cli import build_parser, main
 from repro.harness.result_cache import CACHE_DIR_ENV, ResultCache
@@ -476,4 +478,60 @@ def test_cli_rejects_invalid_machine_in_one_line(argv, expected, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert expected in err
+    assert "Traceback" not in err
+
+
+#: Subcommands of the argv property, each with what it needs to parse
+#: and a small scale (an invalid value must fail before any simulation,
+#: so a slip shows as a slow or passing run rather than a hang).
+ARGV_SUBCOMMANDS = [
+    ["run", "--scale", "20"],
+    ["figure", "8", "--scale", "20", "--jobs", "1", "--no-cache"],
+    ["figure", "saturation", "--scale", "20", "--jobs", "1", "--no-cache"],
+    ["sweep", "ring.hop_latency", "--scale", "20", "--jobs", "1",
+     "--no-cache"],
+]
+
+#: One invalid setting each.  A flag a subcommand does not take is an
+#: invalid argv too, so every pairing must be refused.
+INVALID_SETTINGS = st.one_of(
+    st.tuples(
+        st.just("--scale"), st.sampled_from(["0", "-3", "many", "1.5"])
+    ),
+    st.tuples(st.just("--seed"), st.sampled_from(["-1", "x", "2.5"])),
+    st.tuples(
+        st.just("--num-cmps"), st.sampled_from(["1", "-3", "x"])
+    ),
+    st.tuples(
+        st.just("--think-scales"),
+        st.sampled_from(["0", "-1", "abc", "nan", "inf", "1,0", "0.5,x"]),
+    ),
+    st.tuples(
+        st.just("--values"),
+        st.sampled_from(["-5", "abc", "1.5", "true", "nan", ",", "1,-2"]),
+    ),
+    st.just(("--topology", "hier_ring", "--num-cmps", "6")),
+)
+
+
+@given(
+    command=st.sampled_from(ARGV_SUBCOMMANDS),
+    invalid=INVALID_SETTINGS,
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_invalid_argv_exits_2_in_one_line(command, invalid, capsys):
+    argv = list(command) + list(invalid)
+    if command[0] == "sweep" and "--values" not in invalid:
+        argv += ["--values", "1"]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert err.count("\n") == 1, (argv, err)
     assert "Traceback" not in err

@@ -1,7 +1,8 @@
 """Deterministic unit tests for the contention models: link
 reservation ordering, snoop-port queueing, physical-link descriptors,
-the warmup reset, occupancy instrumentation, and the array-core
-envelope of the contention knobs (end-to-end through the CLI)."""
+the warmup reset, occupancy instrumentation, and the soa core's
+envelope end to end through the CLI (contention runs on soa; the
+presence filter still falls back)."""
 
 from __future__ import annotations
 
@@ -255,9 +256,29 @@ def test_render_samples_includes_occupancy_columns():
 
 
 # ----------------------------------------------------------------------
-# Soa-core envelope of the contention knobs (genuine end-to-end: the
-# soa core refuses the configuration at construction and the CLI falls
-# back to the object core)
+# Soa-core envelope through the CLI: the contention knobs run on soa
+# itself (output identical to object); a knob soa still refuses
+# (the presence filter) keeps the fallback / --strict-core contract.
+
+
+def test_sweep_cli_runs_contention_on_soa_like_object(capsys):
+    from repro.harness.cli import main
+
+    outputs = []
+    for core in ("object", "soa"):
+        rc = main([
+            "sweep", "ring.link_occupancy", "--values", "0,30",
+            "--scale", "60", "--jobs", "1", "--no-cache",
+            "--core", core, "--strict-core", "--metric", "exec_time",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        header, _, table = captured.out.partition("\n")
+        assert "ring.link_occupancy" in header
+        assert "core=%s" % core in header
+        outputs.append(table)
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("core", ["soa"])
@@ -265,21 +286,22 @@ def test_sweep_cli_falls_back_when_array_core_refuses(core, capsys):
     from repro.harness.cli import main
 
     rc = main([
-        "sweep", "ring.link_occupancy", "--values", "30",
+        "sweep", "filter_write_snoops", "--values", "true",
         "--scale", "60", "--jobs", "1", "--no-cache",
         "--core", core, "--metric", "exec_time",
     ])
     captured = capsys.readouterr()
     assert rc == 0
     assert "falling back to core=object" in captured.err
-    assert "ring.link_occupancy" in captured.out
+    assert captured.err.count("\n") == 1
+    assert "filter_write_snoops" in captured.out
 
 
 def test_sweep_cli_strict_core_fails_hard(capsys):
     from repro.harness.cli import main
 
     rc = main([
-        "sweep", "ring.link_occupancy", "--values", "30",
+        "sweep", "filter_write_snoops", "--values", "true",
         "--scale", "60", "--jobs", "1", "--no-cache",
         "--core", "soa", "--strict-core",
     ])

@@ -6,7 +6,8 @@ construction - never a mid-run crash or a silently wrong result -
 while the object core runs the identical configuration to completion.
 One parametrized matrix pins each flag to that contract, so adding an
 envelope hole or a new flag without updating ``check_soa_supported``
-fails loudly.
+fails loudly.  The contention knobs are inside the envelope: soa must
+accept them and match the object core's summary.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from repro.workloads.source import SyntheticSource
 from repro.workloads.synthetic import SharingProfile
 
 
-def _machine(**overrides):
-    machine = default_machine(algorithm="lazy", cores_per_cmp=1, num_cmps=2)
+def _machine(num_cmps=2, **overrides):
+    machine = default_machine(
+        algorithm="lazy", cores_per_cmp=1, num_cmps=num_cmps
+    )
     ring_overrides = {
         key: overrides.pop(key)
         for key in ("link_occupancy", "serialize_snoop_port")
@@ -50,11 +53,11 @@ def _machine(**overrides):
     return machine
 
 
-def _source():
+def _source(num_cores=2):
     return SyntheticSource(
         SharingProfile(
             name="envelope",
-            num_cores=2,
+            num_cores=num_cores,
             cores_per_cmp=1,
             accesses_per_core=20,
             seed=5,
@@ -64,13 +67,19 @@ def _source():
 
 #: (flag id, machine kwargs, extra constructor kwargs).
 ENVELOPE_FLAGS = [
-    ("link_occupancy", {"link_occupancy": True}, {}),
-    ("serialize_snoop_port", {"serialize_snoop_port": True}, {}),
     ("filter_write_snoops", {"filter_write_snoops": True}, {}),
     ("check_invariants", {"check_invariants": True}, {}),
     ("track_versions", {"track_versions": True}, {}),
     ("tracing", {}, {"trace_sink": InMemorySink()}),
     ("sample_window", {"sample_window": 50}, {}),
+]
+
+
+#: Contention knobs soa models itself (same entry shape); the
+#: occupancy is large enough that messages actually queue.
+CONTENTION_FLAGS = [
+    ("link_occupancy", {"link_occupancy": 30}, {}),
+    ("serialize_snoop_port", {"serialize_snoop_port": True}, {}),
 ]
 
 
@@ -99,8 +108,6 @@ def test_array_cores_raise_cleanly_outside_envelope(core, entry):
 
 #: The reason ``check_soa_supported`` gives for each flag.
 ENVELOPE_REASONS = {
-    "link_occupancy": "ring.link_occupancy",
-    "serialize_snoop_port": "ring.serialize_snoop_port",
     "filter_write_snoops": "filter_write_snoops",
     "check_invariants": "check_invariants",
     "track_versions": "track_versions",
@@ -127,7 +134,32 @@ def test_envelope_check_names_only_the_offending_flag(entry):
     assert reasons[0].startswith(ENVELOPE_REASONS[flag])
 
 
-@pytest.mark.parametrize("entry", ENVELOPE_FLAGS, ids=_flag_id)
+@pytest.mark.parametrize("entry", CONTENTION_FLAGS, ids=_flag_id)
+def test_soa_runs_contention_flag_like_object(entry):
+    """Four CMPs, so snoops from several requesters meet at one port
+    and the knob changes the timing, not just the code path."""
+    flag, machine_kwargs, extra = entry
+    machine = _machine(num_cmps=4, **machine_kwargs)
+    check_soa_supported(machine)
+    uncontended, contended_object, contended_soa = [
+        REGISTRY.create(
+            "core", core, config, build_algorithm("lazy"), _source(4)
+        )
+        .run()
+        .summary()
+        for core, config in (
+            ("object", _machine(num_cmps=4)),
+            ("object", machine),
+            ("soa", machine),
+        )
+    ]
+    assert contended_object != uncontended
+    assert contended_soa == contended_object
+
+
+@pytest.mark.parametrize(
+    "entry", ENVELOPE_FLAGS + CONTENTION_FLAGS, ids=_flag_id
+)
 def test_object_core_runs_every_envelope_flag(entry):
     flag, machine_kwargs, extra = entry
     machine = _machine(**machine_kwargs)

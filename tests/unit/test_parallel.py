@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import default_machine
+from repro.config import ConfigError, MachineConfig, default_machine
 from repro.harness import parallel as parallel_module
 from repro.harness.experiments import ExperimentMatrix, run_experiment
 from repro.harness.parallel import (
@@ -41,6 +41,29 @@ def test_resolve_config_predictor_override():
     base = default_machine(algorithm="subset", cores_per_cmp=1)
     spec = RunSpec("subset", "specjbb", predictor="Sub8k", config=base)
     assert spec.resolve_config(1).predictor.entries == 8192
+
+
+def test_config_override_shape_conflict_fails_before_any_work(monkeypatch):
+    """A config override whose CMP span disagrees with the workload's
+    is refused by ``resolve_config`` with one line naming both spans,
+    before a key is computed or a simulation is set up."""
+    spec = RunSpec(
+        algorithm="lazy",
+        workload="splash2",
+        config=MachineConfig(),
+        num_cmps=16,
+    )
+
+    def no_build(name):
+        raise AssertionError("a simulation was set up")
+
+    monkeypatch.setattr(parallel_module, "build_algorithm", no_build)
+    for attempt in (spec.cache_key, lambda: execute_spec(spec)):
+        with pytest.raises(ConfigError) as excinfo:
+            attempt()
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "16 CMPs" in message and "8 CMPs" in message
 
 
 def test_execute_spec_matches_run_experiment():
